@@ -18,8 +18,8 @@
 #include "engine/config_epoch.h"
 #include "engine/config_index.h"
 #include "engine/liveness_overlay.h"
+#include "engine/pending_block.h"
 #include "engine/validate.h"
-#include "routing/scan_batch.h"
 #include "replication/incremental.h"
 #include "transition/planner.h"
 
@@ -38,7 +38,7 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// One in-flight online reconfiguration round (DESIGN.md §12): kicked at
+/// One in-flight reconfiguration round (DESIGN.md §12): kicked at
 /// `boundary` (simulated time), published at the first admission at or
 /// after `publish_at`. The future carries the configuration being built
 /// in the background; `dead` is the planning-time dead bitmap captured at
@@ -82,70 +82,6 @@ void AnnotateTransition(SimTime sim_time_s, bool applied,
     reg.RecordReconfig(std::move(tr));
   }
 }
-
-/// Per-query routing state accumulated while its scans sit in the
-/// batched path's pending block, finalized into a QueryRecord at flush.
-struct PendingQuery {
-  QueryRecord record;
-  std::set<NodeId> nodes_used;
-  SimTime completion = 0.0;
-};
-
-/// BatchSink of the driver's batched fast path (DESIGN.md §11): commits
-/// each scan's reads into the sim the moment the router reports them —
-/// before the next scan's waits are first read — then advances the
-/// shared WaitView to the next scan's arrival. Together with
-/// RouterScratch's per-scan lazy re-init this makes a block of any size
-/// bit-identical to routing the same scans one at a time (enforced by
-/// the batch golden tests).
-class DriverBatchSink : public BatchSink {
- public:
-  DriverBatchSink(ClusterSim* sim, bool collect)
-      : sim_(sim), collect_(collect) {}
-
-  void Bind(const ScanBatch* block, const std::vector<std::size_t>* slots,
-            const std::vector<SimTime>* arrivals,
-            std::vector<PendingQuery>* pending, WaitView* view) {
-    block_ = block;
-    slots_ = slots;
-    arrivals_ = arrivals;
-    pending_ = pending;
-    view_ = view;
-  }
-
-  void OnScanRouted(std::size_t scan_index, const RoutedRead* reads,
-                    std::size_t count) override {
-    PendingQuery& pq = (*pending_)[(*slots_)[scan_index]];
-    const SimTime at = (*arrivals_)[scan_index];
-    const FlatRequest* reqs =
-        block_->requests.data() + block_->req_off[scan_index];
-    for (std::size_t k = 0; k < count; ++k) {
-      const RoutedRead& rr = reads[k];
-      const bool first_use = pq.nodes_used.insert(rr.node).second;
-      const TupleCount tuples = reqs[rr.request_index].tuples;
-      if (collect_) {
-        metrics::Count("routing.requests");
-        metrics::Observe("routing.queue_wait_s",
-                         sim_->WaitSeconds(rr.node, at));
-      }
-      const SimTime done = sim_->EnqueueRead(rr.node, tuples, at, first_use);
-      pq.completion = std::max(pq.completion, done);
-      pq.record.tuples_read += tuples;
-    }
-    if (scan_index + 1 < arrivals_->size()) {
-      view_->set_at((*arrivals_)[scan_index + 1]);
-    }
-  }
-
- private:
-  ClusterSim* sim_;
-  const bool collect_;
-  const ScanBatch* block_ = nullptr;
-  const std::vector<std::size_t>* slots_ = nullptr;
-  const std::vector<SimTime>* arrivals_ = nullptr;
-  std::vector<PendingQuery>* pending_ = nullptr;
-  WaitView* view_ = nullptr;
-};
 
 }  // namespace
 
@@ -280,8 +216,8 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
   // Initial provisioning: build the first configuration and pay for the
   // initial data load (every replica is a fresh copy). The active
   // configuration lives in an epoch bundle (engine/config_epoch.h):
-  // bootstrap is epoch 0, every applied transition — periodic, online
-  // publish, or emergency repair — replaces `cur` with the next epoch.
+  // bootstrap is epoch 0, every applied transition — a round's publish or
+  // an emergency repair — replaces `cur` with the next epoch.
   const auto bootstrap_start = std::chrono::steady_clock::now();
   std::unique_ptr<ConfigEpoch> cur;
   {
@@ -344,7 +280,7 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
   // machine stays partitioned); the flag only arms the repair check.
   bool pending_partition = false;
   // High-water mark of delivered fault time. The admission loop is
-  // monotonic, but an online round kicked at a boundary the workload
+  // monotonic, but a round kicked at a boundary the workload
   // skipped past (boundary < the admitting query's arrival, which already
   // had its faults delivered) must clamp rather than rewind the
   // scheduler's clock.
@@ -409,8 +345,8 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
   // An applied transition replaces machines dead at its time with fresh
   // ones (the failure-aware plan prices the re-copy), so it doubles as a
   // repair — but only for crashes delivered at or before the transition's
-  // simulated time. An online publish applies retroactively at its
-  // boundary: crashes from inside the build window were not planned dead
+  // simulated time. A publish applies retroactively at its boundary:
+  // crashes from inside an occupied build window were not planned dead
   // (they ride the matching, see ClusterSim::ApplyConfig) and stay
   // pending until a later transition or repair settles them.
   const auto settle_repairs = [&](SimTime at) {
@@ -434,10 +370,10 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
     for (std::size_t i : fault_sched->InterruptedMoves(plan, at)) {
       const NodeTransition& move = plan.moves[i];
       if (move.new_node == kInvalidNode) continue;
-      // A receiver that crashed inside an online build window is dead at
-      // the (retroactive) apply time; the crash wiped its queue, so the
-      // re-sent copy is lost with it — nothing to charge. Never taken in
-      // the stop-the-world path (its plans replace all dead machines).
+      // A receiver that crashed inside an occupied build window is dead
+      // at the (retroactive) apply time; the crash wiped its queue, so the
+      // re-sent copy is lost with it — nothing to charge. Never taken with
+      // a zero window (its plans replace all dead machines).
       if (!sim.NodeAlive(move.new_node, at)) continue;
       sim.ChargeTransfer(move.new_node, move.transfer_tuples, at);
       if (collect) {
@@ -446,75 +382,6 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
                        move.transfer_tuples);
       }
     }
-  };
-
-  // Set in online mode once the publish machinery below exists; forces
-  // the pending epoch to publish (emergency repair and the legacy round
-  // both mutate `cur` and the system — neither may run with a build in
-  // flight against the old epoch).
-  std::function<void()> force_publish;
-
-  // Emergency re-replication (tentpole): when a delivered crash left some
-  // fragment under-covered, rebuild the placement without the dead nodes
-  // and apply the minimal-transfer repair immediately.
-  const auto maybe_repair = [&](SimTime at) {
-    if (!faults_on || !options.faults.emergency_repair) return;
-    if (pending_crashes.empty() && !pending_partition) return;
-    if (!coverage_at_risk(at)) {
-      // Recoveries/heals (or a scheduled transition) already restored
-      // coverage.
-      settle_repairs(at);
-      pending_partition = false;
-      return;
-    }
-    // A pending online epoch must land first: the repair replaces `cur`
-    // and calls NoteAppliedConfig, both of which the in-flight build
-    // still reads. The publish itself may restore coverage.
-    if (force_publish) {
-      force_publish();
-      if (!coverage_at_risk(at)) {
-        settle_repairs(at);
-        pending_partition = false;
-        return;
-      }
-    }
-    if (collect) metrics::Count("faults.coverage_lost_events");
-    const std::vector<bool> dead = dead_bitmap(at);
-    const std::vector<bool> partitioned = partitioned_bitmap(at);
-    Result<ClusterConfig> repaired =
-        PlanEmergencyRepair(cur->config(), dead, partitioned);
-    if (!repaired.ok()) {
-      // Degrade: keep running on the surviving replicas; retries and
-      // aborts absorb the gap.
-      if (collect) metrics::Count("faults.repair_failures");
-      pending_crashes.clear();
-      pending_partition = false;
-      return;
-    }
-    const TransitionPlan plan =
-        PlanTransition(cur->config(), *repaired, &dead);
-    NASHDB_VALIDATE_OR_DIE(ValidateConfig(*repaired));
-    NASHDB_VALIDATE_OR_DIE(
-        ValidatePlan(plan, cur->config(), *repaired, &dead));
-    sim.ApplyConfig(*repaired, at, &plan);
-    liveness.SyncFrom(sim);
-    charge_interruptions(plan, at);
-    cur = std::make_unique<ConfigEpoch>(cur->epoch() + 1,
-                                        std::move(*repaired));
-    system->NoteAppliedConfig(cur->config());
-    ++result.transitions;
-    ++result.emergency_repairs;
-    result.repair_transfer_tuples += plan.total_transfer_tuples;
-    if (collect) {
-      metrics::Count("sim.transitions");
-      metrics::Count("faults.emergency_repairs");
-      metrics::Count("faults.repair_transfer_tuples",
-                     plan.total_transfer_tuples);
-      metrics::Observe("sim.transfer_window_s",
-                       sim.LastTransferWindowSeconds());
-    }
-    settle_repairs(at);
-    pending_partition = false;
   };
 
   // Final accounting for one admitted query: the streaming aggregates are
@@ -539,68 +406,41 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
   };
 
   // --- Batched fast path (DESIGN.md §11). Fault-free flat-path runs
-  // gather scans across consecutive queries into a SoA block and route it
-  // with one RouteBatchInto call — one scratch bind, one resolve pass,
-  // one virtual dispatch per block instead of per scan. The block flushes
-  // when full and at every reconfiguration boundary, so it never spans a
-  // configuration change; the sink commits each scan's reads between
-  // scans, keeping the record stream bit-identical to the per-scan path.
+  // gather scans across consecutive queries into a PendingBlock and route
+  // it with one RouteBatchInto call. The block flushes when full and at
+  // every reconfiguration boundary, so it never spans a configuration
+  // change; it commits each scan's reads between scans, keeping the record
+  // stream bit-identical to the per-scan path.
   const bool overload_on = options.overload.Active();
   const bool batched = !options.legacy_query_path && !faults_on &&
                        !overload_on && options.route_batch_size > 1;
-  ScanBatch block;
-  std::vector<std::size_t> scan_slot;  // block scan -> pending slot
-  std::vector<SimTime> scan_arrival;   // block scan -> arrival time
-  std::vector<PendingQuery> pending;
-  DriverBatchSink sink(&sim, collect);
+  PendingBlock block(&sim, options.phi_s, collect);
 
-  // Routes the pending block and finalizes its query records in
-  // admission order. Routing cannot fail here — the batched path only
-  // runs fault-free, where every candidate span is non-empty
-  // (ResolveBatchInto CHECKs replica coverage) — so a failure is a bug,
-  // not a condition to retry.
+  // Routes the pending block and commits its query records in admission
+  // order.
   const auto flush_block = [&]() {
-    if (pending.empty()) return;
-    if (!block.empty()) {
-      cur->index().ResolveBatchInto(&block);
-      WaitView waits(sim.BusyUntil().data(), sim.node_count(),
-                     scan_arrival.front());
-      sink.Bind(&block, &scan_slot, &scan_arrival, &pending, &waits);
-      const Status status =
-          router->RouteBatchInto(block, waits, spt, options.phi_s,
-                                 &router_scratch, &routed_buf, &sink);
-      NASHDB_CHECK(status.ok()) << status.message();
-    }
-    for (PendingQuery& pq : pending) {
-      pq.record.completion = pq.completion;
-      pq.record.latency_s = pq.completion - pq.record.arrival;
-      pq.record.span = pq.nodes_used.size();
+    block.Flush(cur->index(), router, [&](const QueryRecord& record) {
       if (collect) {
         metrics::Count("routing.queries");
-        metrics::Observe("routing.span",
-                         static_cast<double>(pq.record.span));
-        metrics::Observe("routing.latency_s", pq.record.latency_s);
+        metrics::Observe("routing.span", static_cast<double>(record.span));
+        metrics::Observe("routing.latency_s", record.latency_s);
       }
-      result.makespan_s = std::max(result.makespan_s, pq.completion);
-      commit_record(pq.record);
-    }
-    pending.clear();
-    block.Clear();
-    scan_slot.clear();
-    scan_arrival.clear();
+      result.makespan_s = std::max(result.makespan_s, record.completion);
+      commit_record(record);
+    });
   };
 
-  // --- Online reconfiguration (tentpole, DESIGN.md §12). Instead of
-  // stalling the admission loop for BuildConfig + PlanTransition at every
-  // boundary, the round is split in two admission-driven halves: a *kick*
-  // at the boundary snapshots the estimator and starts the build + plan
-  // on a background thread, and a *publish* at the first admission
+  // --- Reconfiguration rounds (DESIGN.md §12), periodic or adaptive
+  // (§7 extension). Each round is split in two admission-driven halves: a
+  // *kick* at the boundary snapshots the estimator and starts the build on
+  // a background thread, and a *publish* at the first admission
   // online_build_window_s later swaps in the finished ConfigEpoch,
   // applying the transition retroactively at the boundary's simulated
   // time. Both halves run at fixed simulated times, so the record stream
-  // never depends on build wall-clock; with a zero window the publish
-  // immediately follows its kick — exactly the stop-the-world ordering.
-  const bool online = options.online_reconfig;
+  // never depends on build wall-clock. With a zero window the publish
+  // runs in the admission that kicked it: the admission loop stalls for
+  // the whole build + plan (stop-the-world), and nothing is admitted
+  // against the outgoing epoch after the boundary.
   std::unique_ptr<PendingBuild> pending_build;
 
   // Kicks the next epoch's build at simulated-time `boundary`. Everything
@@ -619,16 +459,18 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
     if (faults_on) pb->dead = dead_bitmap(boundary);
     // The only inline work is the estimator snapshot (plus the thread
     // spawn) inside the async kick; the build itself overlaps with
-    // routing.
+    // routing. Systems without their own BuildConfigAsync build inline
+    // here, and the kick's stall carries the whole build.
     pb->future = system->BuildConfigAsync();
     pb->kick_stall_s = SecondsSince(pb->round_start);
     pending_build = std::move(pb);
   };
 
-  // Publishes the pending epoch: waits out any residual build time (the
-  // online path's only stall), flushes scans admitted inside the window
-  // (they route against the outgoing epoch), then applies the transition
-  // at the kicking boundary's simulated time.
+  // Publishes the pending epoch: waits out any residual build time,
+  // flushes scans admitted inside the window (they route against the
+  // outgoing epoch), then applies the transition at the kicking boundary's
+  // simulated time. The round's stall is the kick, the residual wait and
+  // the plan + validation below — with a zero window, the whole build.
   const auto publish_epoch = [&]() {
     NASHDB_DCHECK(pending_build != nullptr);
     PendingBuild& pb = *pending_build;
@@ -697,11 +539,68 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
     pending_build.reset();
   };
 
-  if (online) {
-    force_publish = [&]() {
-      if (pending_build) publish_epoch();
-    };
-  }
+  // Emergency re-replication: when a delivered crash left some
+  // fragment under-covered, rebuild the placement without the dead nodes
+  // and apply the minimal-transfer repair immediately.
+  const auto maybe_repair = [&](SimTime at) {
+    if (!faults_on || !options.faults.emergency_repair) return;
+    if (pending_crashes.empty() && !pending_partition) return;
+    if (!coverage_at_risk(at)) {
+      // Recoveries/heals (or a scheduled transition) already restored
+      // coverage.
+      settle_repairs(at);
+      pending_partition = false;
+      return;
+    }
+    // A pending epoch must land first: the repair replaces `cur` and calls
+    // NoteAppliedConfig, both of which the in-flight build still reads.
+    // The publish itself may restore coverage.
+    if (pending_build) {
+      publish_epoch();
+      if (!coverage_at_risk(at)) {
+        settle_repairs(at);
+        pending_partition = false;
+        return;
+      }
+    }
+    if (collect) metrics::Count("faults.coverage_lost_events");
+    const std::vector<bool> dead = dead_bitmap(at);
+    const std::vector<bool> partitioned = partitioned_bitmap(at);
+    Result<ClusterConfig> repaired =
+        PlanEmergencyRepair(cur->config(), dead, partitioned);
+    if (!repaired.ok()) {
+      // Degrade: keep running on the surviving replicas; retries and
+      // aborts absorb the gap.
+      if (collect) metrics::Count("faults.repair_failures");
+      pending_crashes.clear();
+      pending_partition = false;
+      return;
+    }
+    const TransitionPlan plan =
+        PlanTransition(cur->config(), *repaired, &dead);
+    NASHDB_VALIDATE_OR_DIE(ValidateConfig(*repaired));
+    NASHDB_VALIDATE_OR_DIE(
+        ValidatePlan(plan, cur->config(), *repaired, &dead));
+    sim.ApplyConfig(*repaired, at, &plan);
+    liveness.SyncFrom(sim);
+    charge_interruptions(plan, at);
+    cur = std::make_unique<ConfigEpoch>(cur->epoch() + 1,
+                                        std::move(*repaired));
+    system->NoteAppliedConfig(cur->config());
+    ++result.transitions;
+    ++result.emergency_repairs;
+    result.repair_transfer_tuples += plan.total_transfer_tuples;
+    if (collect) {
+      metrics::Count("sim.transitions");
+      metrics::Count("faults.emergency_repairs");
+      metrics::Count("faults.repair_transfer_tuples",
+                     plan.total_transfer_tuples);
+      metrics::Observe("sim.transfer_window_s",
+                       sim.LastTransferWindowSeconds());
+    }
+    settle_repairs(at);
+    pending_partition = false;
+  };
 
   // In-flight completion times for admission control: popped at each
   // arrival, so the pending count is exact and purely simulated-time
@@ -718,92 +617,18 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
   for (TimedQuery tq; next_query(&tq);) {
     const SimTime now = tq.arrival;
 
-    if (online) {
-      // Publishes and kicks interleave at fixed simulated times; the
-      // publish check runs first so a window never swallows the next
-      // boundary, and at most one build is ever in flight.
-      for (;;) {
-        if (pending_build && now >= pending_build->publish_at) {
-          publish_epoch();
-        } else if (!pending_build && options.periodic_reconfigure &&
-                   now >= next_reconfigure) {
-          kick_build(next_reconfigure);
-          next_reconfigure += check_interval;
-        } else {
-          break;
-        }
-      }
-    } else {
-      // Stop-the-world reconfiguration (periodic or adaptive,
-      // §7-extension): build + plan run inline at every boundary with the
-      // admission loop stalled the whole time — reconfig_stall_s (S2).
-      while (options.periodic_reconfigure && now >= next_reconfigure) {
-        // Everything admitted before the boundary must be routed against
-        // the outgoing configuration and its pre-transition queue state.
-        if (batched) flush_block();
-        // The transition must see the cluster's true liveness at its
-        // time.
-        deliver_faults(next_reconfigure);
-        const auto round_start = std::chrono::steady_clock::now();
-        ClusterConfig next = system->BuildConfig();
-        const auto plan_start = std::chrono::steady_clock::now();
-        std::vector<bool> dead;
-        if (faults_on) dead = dead_bitmap(next_reconfigure);
-        const TransitionPlan plan = PlanTransition(
-            cur->config(), next, faults_on ? &dead : nullptr);
-        NASHDB_VALIDATE_OR_DIE(ValidateConfig(next));
-        NASHDB_VALIDATE_OR_DIE(ValidatePlan(plan, cur->config(), next,
-                                            faults_on ? &dead : nullptr));
-        const double plan_ms = collect ? MsSince(plan_start) : 0.0;
-        // The whole build + plan ran with the admission loop stopped:
-        // that wall-clock is the stall this round charged.
-        const double stall_s = SecondsSince(round_start);
-        result.reconfig_stall_s += stall_s;
-        if (collect) metrics::Observe("sim.reconfig_stall_s", stall_s);
-        bool apply = true;
-        if (options.adaptive_reconfigure) {
-          const double stored =
-              static_cast<double>(cur->config().TotalStoredTuples());
-          const double change =
-              stored <= 0.0
-                  ? 1.0
-                  : static_cast<double>(plan.total_transfer_tuples) /
-                        stored;
-          // Never skip while a matched machine is dead (see the online
-          // publish above for why).
-          const bool any_dead =
-              std::find(dead.begin(), dead.end(), true) != dead.end();
-          apply = change >= options.adaptive_min_change ||
-                  next.node_count() != cur->config().node_count() ||
-                  any_dead;
-        }
-        if (apply) {
-          sim.ApplyConfig(next, next_reconfigure, &plan,
-                          faults_on ? &dead : nullptr);
-          liveness.SyncFrom(sim);
-          charge_interruptions(plan, next_reconfigure);
-          cur = std::make_unique<ConfigEpoch>(cur->epoch() + 1,
-                                              std::move(next));
-          ++result.transitions;
-          metrics::Count("sim.transitions");
-          if (collect) {
-            metrics::Observe("sim.transfer_window_s",
-                             sim.LastTransferWindowSeconds());
-          }
-          // All machines are live right after an applied transition (dead
-          // ones were replaced), so pending crashes are repaired.
-          settle_repairs(next_reconfigure);
-        } else {
-          ++result.transitions_skipped;
-          metrics::Count("sim.transitions_skipped");
-        }
-        if (collect) {
-          const double round_ms = MsSince(round_start);
-          metrics::Observe("sim.reconfig_round_ms", round_ms);
-          AnnotateTransition(next_reconfigure, apply, plan, plan_ms,
-                             round_ms);
-        }
+    // Publishes and kicks interleave at fixed simulated times; the
+    // publish check runs first so a window never swallows the next
+    // boundary, and at most one build is ever in flight.
+    for (;;) {
+      if (pending_build && now >= pending_build->publish_at) {
+        publish_epoch();
+      } else if (!pending_build && options.periodic_reconfigure &&
+                 now >= next_reconfigure) {
+        kick_build(next_reconfigure);
         next_reconfigure += check_interval;
+      } else {
+        break;
       }
     }
 
@@ -837,20 +662,8 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
     if (batched) {
       // Admit into the pending block instead of routing inline; the
       // block flushes when full (and at every boundary above).
-      PendingQuery pq;
-      pq.record.id = tq.query.id;
-      pq.record.price = tq.query.price;
-      pq.record.arrival = now;
-      pq.record.epoch = cur->epoch();
-      pq.completion = now;
-      pending.push_back(std::move(pq));
-      const std::size_t slot = pending.size() - 1;
-      for (const Scan& scan : tq.query.scans) {
-        block.AddScan(tq.query.id, scan);
-        scan_slot.push_back(slot);
-        scan_arrival.push_back(now);
-      }
-      if (block.size() >= options.route_batch_size) flush_block();
+      block.Admit(tq, cur->epoch());
+      if (block.scans() >= options.route_batch_size) flush_block();
       continue;
     }
 
@@ -994,10 +807,10 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
     if (overload_on) inflight.push(completion);
     commit_record(record);
   }
-  // A build still in flight when the workload ends is published so its
-  // transition lands (the stop-the-world path applied every boundary it
-  // reached); the publish flushes the pending block against the outgoing
-  // epoch first.
+  // A build still in flight when the workload ends (an occupied window
+  // past the last arrival) is published so its transition lands, as every
+  // zero-window boundary the workload reached does; the publish flushes
+  // the pending block against the outgoing epoch first.
   if (pending_build) publish_epoch();
   if (batched) flush_block();
 

@@ -161,29 +161,26 @@ struct DriverOptions {
   /// Fault-free flat-path runs gather up to this many scans across
   /// consecutive queries and route them with one RouteBatchInto call
   /// (flushing at every reconfiguration boundary, so a block never spans
-  /// a configuration change); 1 keeps the per-scan path, as do legacy
-  /// and fault-injected runs. Block size never changes results: both
-  /// paths produce bit-identical QueryRecord streams (golden test).
+  /// a configuration change); 1 keeps the per-scan path. Legacy,
+  /// fault-injected and overload-controlled runs (an active `overload`
+  /// policy) always take the per-scan path, whatever this is set to.
+  /// Block size never changes results: both paths produce bit-identical
+  /// QueryRecord streams (golden test).
   std::size_t route_batch_size = 64;
 
-  /// Online reconfiguration (DESIGN.md §12): at each boundary, kick the
-  /// next epoch's build (BuildConfigAsync + transition planning) onto a
-  /// background thread and keep routing against the current epoch; the
-  /// built epoch is published — applied at the boundary's simulated time
-  /// — at the first admission online_build_window_s after the boundary
-  /// (blocking on the build only if it is still running, which is the
-  /// residual stall RunResult::reconfig_stall_s reports). When no
-  /// queries arrive inside the build window (in particular whenever
-  /// online_build_window_s is 0), the record stream is bit-identical to
-  /// the stop-the-world path (golden test); when they do, those queries
-  /// route against the outgoing epoch — every record still names nodes
-  /// holding its fragments in the epoch it was routed against.
-  bool online_reconfig = false;
-
-  /// Simulated seconds between a reconfiguration boundary and the
-  /// publish of the epoch built there. 0 publishes at the boundary
-  /// itself (legacy-identical records); an occupied window is what
-  /// actually overlaps build wall-clock with routing work.
+  /// Reconfiguration rounds (DESIGN.md §12). Every round — periodic or
+  /// adaptive — kicks the next epoch's build (BuildConfigAsync) at its
+  /// boundary and publishes the built epoch — planned, validated and
+  /// applied at the boundary's simulated time — at the first admission
+  /// online_build_window_s after the boundary, routing against the
+  /// current epoch in between. 0 publishes in the admission that kicked
+  /// the build: the admission loop stalls for the whole build + plan
+  /// (stop-the-world; records pinned by committed golden digests). A
+  /// positive window overlaps build wall-clock with routing work, leaving
+  /// only the kick plus any residual wait at publish as stall
+  /// (RunResult::reconfig_stall_s); the queries admitted inside it route
+  /// against the outgoing epoch — every record still names nodes holding
+  /// its fragments in the epoch it was routed against.
   SimTime online_build_window_s = 0.0;
 };
 
@@ -199,9 +196,8 @@ struct QueryRecord {
   /// Coverage-gap retries this query's scans went through.
   std::size_t retries = 0;
   /// Configuration epoch the query was routed against (0 = bootstrap;
-  /// +1 per applied transition, periodic or emergency repair). Stamped
-  /// identically by the stop-the-world and online paths, so it
-  /// participates in the golden bit-identity contract.
+  /// +1 per applied transition, periodic or emergency repair). Part of
+  /// the golden digests (DESIGN.md §12).
   std::uint64_t epoch = 0;
   /// True if the query gave up (retry budget or timeout exhausted under
   /// node failures). Aborted records are excluded from the latency/span
@@ -237,11 +233,10 @@ struct RunResult {
   std::size_t final_nodes = 0;
   /// Wall-clock seconds the admission loop spent stopped for
   /// reconfiguration (also the sim.reconfig_stall_s histogram, one entry
-  /// per round). Stop-the-world path: the full BuildConfig +
-  /// PlanTransition time of every round — previously charged to no one,
-  /// making reported latencies silently optimistic. Online path: the
-  /// async kick plus any residual blocking at publish; ~0 once the build
-  /// window overlaps enough routing work.
+  /// per round): each round's async kick, any residual blocking on the
+  /// build at publish, and the publish's plan + validation. With a zero
+  /// build window that is the full build + plan of every round; it falls
+  /// toward the kick alone once the window overlaps enough routing work.
   double reconfig_stall_s = 0.0;
   /// Fault-run outcomes (all zero when FaultOptions is inactive).
   std::size_t crashes = 0;

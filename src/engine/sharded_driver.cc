@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <set>
 #include <thread>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/spsc_queue.h"
 #include "engine/config_index.h"
+#include "engine/pending_block.h"
 #include "engine/validate.h"
-#include "routing/scan_batch.h"
 #include "transition/planner.h"
 
 namespace nashdb {
@@ -26,61 +25,6 @@ std::uint64_t SplitMix64(std::uint64_t x) {
 /// Queries a shard pops from its ring per iteration (bulk drain — one
 /// acquire pays for up to this many queries).
 constexpr std::size_t kPopChunk = 32;
-
-/// Per-query routing state accumulated while its scans sit in the
-/// pending block, finalized into a QueryRecord at flush.
-struct PendingQuery {
-  QueryRecord record;
-  std::set<NodeId> nodes_used;
-  SimTime completion = 0.0;
-};
-
-/// BatchSink of the shard loop: commits each scan's reads into the
-/// shard's sim the moment the router reports them, so the next scan of
-/// the block observes the updated busy-until state exactly as a per-scan
-/// run would (bit-identity with the serial driver), then advances the
-/// shared WaitView to the next scan's arrival.
-class ShardBatchSink : public BatchSink {
- public:
-  explicit ShardBatchSink(ClusterSim* sim) : sim_(sim) {}
-
-  void Bind(const ScanBatch* block, const std::vector<std::size_t>* slots,
-            const std::vector<SimTime>* arrivals,
-            std::vector<PendingQuery>* pending, WaitView* view) {
-    block_ = block;
-    slots_ = slots;
-    arrivals_ = arrivals;
-    pending_ = pending;
-    view_ = view;
-  }
-
-  void OnScanRouted(std::size_t scan_index, const RoutedRead* reads,
-                    std::size_t count) override {
-    PendingQuery& pq = (*pending_)[(*slots_)[scan_index]];
-    const SimTime at = (*arrivals_)[scan_index];
-    const FlatRequest* reqs =
-        block_->requests.data() + block_->req_off[scan_index];
-    for (std::size_t k = 0; k < count; ++k) {
-      const RoutedRead& rr = reads[k];
-      const bool first_use = pq.nodes_used.insert(rr.node).second;
-      const TupleCount tuples = reqs[rr.request_index].tuples;
-      const SimTime done = sim_->EnqueueRead(rr.node, tuples, at, first_use);
-      pq.completion = std::max(pq.completion, done);
-      pq.record.tuples_read += tuples;
-    }
-    if (scan_index + 1 < arrivals_->size()) {
-      view_->set_at((*arrivals_)[scan_index + 1]);
-    }
-  }
-
- private:
-  ClusterSim* sim_;
-  const ScanBatch* block_ = nullptr;
-  const std::vector<std::size_t>* slots_ = nullptr;
-  const std::vector<SimTime>* arrivals_ = nullptr;
-  std::vector<PendingQuery>* pending_ = nullptr;
-  WaitView* view_ = nullptr;
-};
 
 /// One node of the epoch chain (DESIGN.md §12). Everything but `next` is
 /// immutable once the link is published: the producer fills config, its
@@ -112,7 +56,6 @@ struct EpochLink {
 /// chain's `next` pointers are the only cross-thread channels; the rest
 /// is shard-private.
 struct ShardTask {
-  std::size_t shard_index = 0;
   const EpochLink* chain = nullptr;
   ClusterSimOptions sim_options;
   double phi_s = 0.35;
@@ -128,43 +71,17 @@ void ShardMain(ShardTask* t) {
   ClusterSim sim(t->sim_options);
   sim.ApplyConfig(link->config, 0.0, &link->plan);
 
-  RouterScratch scratch;
-  std::vector<RoutedRead> routed;
-  ScanBatch block;
-  std::vector<std::size_t> scan_slot;   // block scan -> pending slot
-  std::vector<SimTime> scan_arrival;    // block scan -> arrival time
-  std::vector<PendingQuery> pending;
-  ShardBatchSink sink(&sim);
-  const double spt = 1.0 / t->sim_options.tuples_per_second;
+  PendingBlock block(&sim, t->phi_s, /*collect=*/false);
   const std::size_t batch_cap = std::max<std::size_t>(1, t->batch_size);
 
-  // Routes the pending block and finalizes its query records, in feed
-  // order. Fault-free single-epoch regime: every candidate span is
-  // non-empty (ResolveBatchInto CHECKs replica coverage), so routing
-  // cannot fail.
+  // Routes the pending block against the shard's current epoch and keeps
+  // its records, in feed order. The sharded plane is fault-free at every
+  // epoch, so every candidate span is non-empty and routing cannot fail.
   const auto flush = [&]() {
-    if (pending.empty()) return;
-    if (!block.empty()) {
-      link->index.ResolveBatchInto(&block);
-      WaitView waits(sim.BusyUntil().data(), sim.node_count(),
-                     scan_arrival.front());
-      sink.Bind(&block, &scan_slot, &scan_arrival, &pending, &waits);
-      const Status status = t->router->RouteBatchInto(
-          block, waits, spt, t->phi_s, &scratch, &routed, &sink);
-      NASHDB_CHECK(status.ok()) << "shard " << t->shard_index << ": "
-                                << status.message();
-    }
-    for (PendingQuery& pq : pending) {
-      pq.record.completion = pq.completion;
-      pq.record.latency_s = pq.completion - pq.record.arrival;
-      pq.record.span = pq.nodes_used.size();
-      t->result.makespan_s = std::max(t->result.makespan_s, pq.completion);
-      t->result.records.push_back(pq.record);
-    }
-    pending.clear();
-    block.Clear();
-    scan_slot.clear();
-    scan_arrival.clear();
+    block.Flush(link->index, t->router.get(), [&](const QueryRecord& record) {
+      t->result.makespan_s = std::max(t->result.makespan_s, record.completion);
+      t->result.records.push_back(record);
+    });
   };
 
   const auto admit = [&](const TimedQuery& tq) {
@@ -183,20 +100,8 @@ void ShardMain(ShardTask* t) {
       sim.ApplyConfig(nl->config, nl->activate_at, &nl->plan);
       link = nl;
     }
-    PendingQuery pq;
-    pq.record.id = tq.query.id;
-    pq.record.price = tq.query.price;
-    pq.record.arrival = tq.arrival;
-    pq.record.epoch = link->epoch;
-    pq.completion = tq.arrival;
-    pending.push_back(std::move(pq));
-    const std::size_t slot = pending.size() - 1;
-    for (const Scan& scan : tq.query.scans) {
-      block.AddScan(tq.query.id, scan);
-      scan_slot.push_back(slot);
-      scan_arrival.push_back(tq.arrival);
-    }
-    if (block.size() >= batch_cap) flush();
+    block.Admit(tq, link->epoch);
+    if (block.scans() >= batch_cap) flush();
   };
 
   const TimedQuery* popped[kPopChunk];
@@ -234,22 +139,47 @@ std::size_t ShardOfQuery(const Query& query, std::size_t shards) {
 
 namespace {
 
-/// Shared body of RunSharded / RunShardedOnline: spins up the shard
-/// threads against `root` (the bootstrap link), feeds queries in workload
-/// (arrival) order calling `before_push` for each — the online producer's
-/// publish hook; a no-op for the single-epoch run — then joins and merges.
-///
-/// Merge invariant: the record stream is re-interleaved into workload
-/// order (each shard's stream preserves it, so a cursor walk suffices);
-/// rent and transition copies are per-cluster quantities every shard
-/// charged identically — counted once, via a billing sim replaying the
-/// published epoch chain — while read volume, real per-shard work, is
-/// summed across shards.
-ShardedRunResult RunShardedImpl(
-    const Workload& workload, EpochLink* root,
-    const RouterFactory& router_factory, const ShardedDriverOptions& options,
-    const std::function<void(const TimedQuery&)>& before_push) {
+/// Builds the bootstrap link: epoch 0 at t = 0, planned from an empty
+/// cluster, validated before any shard starts.
+std::unique_ptr<EpochLink> MakeRootLink(const ClusterConfig& config) {
+  ClusterConfig empty;
+  TransitionPlan bootstrap = PlanTransition(empty, config);
+  NASHDB_VALIDATE_OR_DIE(ValidateConfig(config));
+  NASHDB_VALIDATE_OR_DIE(ValidatePlan(bootstrap, empty, config));
+  return std::make_unique<EpochLink>(0, 0.0, config, std::move(bootstrap));
+}
+
+}  // namespace
+
+ShardedRunResult RunSharded(const Workload& workload,
+                            const ClusterConfig& config,
+                            const RouterFactory& router_factory,
+                            const ShardedDriverOptions& options) {
+  // Single-epoch run: the chain is just the bootstrap link.
+  return RunShardedOnline(workload, config, {}, router_factory, options);
+}
+
+// Merge invariant: the record stream is re-interleaved into workload order
+// (each shard's stream preserves it, so a cursor walk suffices); rent and
+// transition copies are per-cluster quantities every shard charged
+// identically — counted once, via a billing sim replaying the published
+// epoch chain — while read volume, real per-shard work, is summed across
+// shards.
+ShardedRunResult RunShardedOnline(const Workload& workload,
+                                  const ClusterConfig& bootstrap,
+                                  const std::vector<ScheduledEpoch>& epochs,
+                                  const RouterFactory& router_factory,
+                                  const ShardedDriverOptions& options) {
   NASHDB_CHECK(router_factory != nullptr);
+  for (std::size_t i = 0; i < epochs.size(); ++i) {
+    NASHDB_CHECK(epochs[i].at > 0.0)
+        << "scheduled epoch " << i << " must activate after t=0";
+    NASHDB_CHECK(i == 0 || epochs[i - 1].at < epochs[i].at)
+        << "scheduled epochs must be sorted by activation time";
+  }
+  const std::unique_ptr<EpochLink> root = MakeRootLink(bootstrap);
+  std::vector<std::unique_ptr<EpochLink>> links;  // outlive the shards
+  links.reserve(epochs.size());
   const std::size_t shards = std::max<std::size_t>(1, options.shards);
 
   std::vector<std::unique_ptr<SpscQueue<const TimedQuery*>>> queues;
@@ -260,8 +190,7 @@ ShardedRunResult RunShardedImpl(
     queues.push_back(std::make_unique<SpscQueue<const TimedQuery*>>(
         std::max<std::size_t>(2, options.queue_capacity)));
     ShardTask& t = tasks[s];
-    t.shard_index = s;
-    t.chain = root;
+    t.chain = root.get();
     t.sim_options = options.sim;
     t.phi_s = options.phi_s;
     t.batch_size = options.batch_size;
@@ -280,9 +209,27 @@ ShardedRunResult RunShardedImpl(
 
   // Producer: feed queries in workload (arrival) order; each shard then
   // sees exactly the workload-order subsequence the partitioner assigns
-  // it, independent of thread timing.
+  // it, independent of thread timing. Each scheduled epoch is published
+  // immediately before pushing the first query arriving at or after its
+  // activation: the index + plan build runs here while the shards keep
+  // routing against the current chain, and the single release store is
+  // the publication point shards synchronize with.
+  EpochLink* tail = root.get();
+  std::size_t next_epoch = 0;
   for (const TimedQuery& tq : workload.queries) {
-    before_push(tq);
+    while (next_epoch < epochs.size() && tq.arrival >= epochs[next_epoch].at) {
+      const ScheduledEpoch& se = epochs[next_epoch];
+      TransitionPlan plan = PlanTransition(tail->config, se.config);
+      NASHDB_VALIDATE_OR_DIE(ValidateConfig(se.config));
+      NASHDB_VALIDATE_OR_DIE(ValidatePlan(plan, tail->config, se.config));
+      auto link = std::make_unique<EpochLink>(tail->epoch + 1, se.at,
+                                              se.config, std::move(plan));
+      EpochLink* raw = link.get();
+      links.push_back(std::move(link));
+      tail->next.store(raw, std::memory_order_release);
+      tail = raw;
+      ++next_epoch;
+    }
     SpscQueue<const TimedQuery*>* q =
         queues[ShardOfQuery(tq.query, shards)].get();
     while (!q->TryPush(&tq)) std::this_thread::yield();
@@ -323,7 +270,7 @@ ShardedRunResult RunShardedImpl(
   ClusterSim billing(options.sim);
   billing.ApplyConfig(root->config, 0.0, &root->plan);
   merged.bootstrap_transfer_tuples = billing.TotalTransferredTuples();
-  const EpochLink* last = root;
+  const EpochLink* last = root.get();
   for (const EpochLink* l = root->next.load(std::memory_order_relaxed);
        l != nullptr; l = l->next.load(std::memory_order_relaxed)) {
     billing.ApplyConfig(l->config, l->activate_at, &l->plan);
@@ -334,70 +281,6 @@ ShardedRunResult RunShardedImpl(
   merged.transitions = static_cast<std::size_t>(last->epoch) + 1;
   merged.final_nodes = last->config.node_count();
   return out;
-}
-
-/// Builds the bootstrap link: epoch 0 at t = 0, planned from an empty
-/// cluster, validated before any shard starts.
-std::unique_ptr<EpochLink> MakeRootLink(const ClusterConfig& config) {
-  ClusterConfig empty;
-  TransitionPlan bootstrap = PlanTransition(empty, config);
-  NASHDB_VALIDATE_OR_DIE(ValidateConfig(config));
-  NASHDB_VALIDATE_OR_DIE(ValidatePlan(bootstrap, empty, config));
-  return std::make_unique<EpochLink>(0, 0.0, config, std::move(bootstrap));
-}
-
-}  // namespace
-
-ShardedRunResult RunSharded(const Workload& workload,
-                            const ClusterConfig& config,
-                            const RouterFactory& router_factory,
-                            const ShardedDriverOptions& options) {
-  // Single-epoch run: the chain is just the bootstrap link and the
-  // producer hook does nothing.
-  const std::unique_ptr<EpochLink> root = MakeRootLink(config);
-  return RunShardedImpl(workload, root.get(), router_factory, options,
-                        [](const TimedQuery&) {});
-}
-
-ShardedRunResult RunShardedOnline(const Workload& workload,
-                                  const ClusterConfig& bootstrap,
-                                  const std::vector<ScheduledEpoch>& epochs,
-                                  const RouterFactory& router_factory,
-                                  const ShardedDriverOptions& options) {
-  for (std::size_t i = 0; i < epochs.size(); ++i) {
-    NASHDB_CHECK(epochs[i].at > 0.0)
-        << "scheduled epoch " << i << " must activate after t=0";
-    NASHDB_CHECK(i == 0 || epochs[i - 1].at < epochs[i].at)
-        << "scheduled epochs must be sorted by activation time";
-  }
-  const std::unique_ptr<EpochLink> root = MakeRootLink(bootstrap);
-
-  // The producer hook publishes each scheduled epoch immediately before
-  // pushing the first query arriving at or after its activation: the
-  // index + plan build runs on the producer thread while the shards keep
-  // routing against the current chain, and the single release store below
-  // is the publication point shards synchronize with.
-  std::vector<std::unique_ptr<EpochLink>> links;  // outlive the shards
-  links.reserve(epochs.size());
-  EpochLink* tail = root.get();
-  std::size_t next_epoch = 0;
-  const auto publish_due = [&](const TimedQuery& tq) {
-    while (next_epoch < epochs.size() && tq.arrival >= epochs[next_epoch].at) {
-      const ScheduledEpoch& se = epochs[next_epoch];
-      TransitionPlan plan = PlanTransition(tail->config, se.config);
-      NASHDB_VALIDATE_OR_DIE(ValidateConfig(se.config));
-      NASHDB_VALIDATE_OR_DIE(ValidatePlan(plan, tail->config, se.config));
-      auto link = std::make_unique<EpochLink>(tail->epoch + 1, se.at,
-                                              se.config, std::move(plan));
-      EpochLink* raw = link.get();
-      links.push_back(std::move(link));
-      tail->next.store(raw, std::memory_order_release);
-      tail = raw;
-      ++next_epoch;
-    }
-  };
-  return RunShardedImpl(workload, root.get(), router_factory, options,
-                        publish_due);
 }
 
 }  // namespace nashdb

@@ -79,10 +79,11 @@ std::size_t ShardOfQuery(const Query& query, std::size_t shards);
 using RouterFactory = std::function<std::unique_ptr<ScanRouter>()>;
 
 /// Runs `workload` against one fixed configuration epoch on
-/// `options.shards` shard threads. Fault-free, single-epoch regime: no
-/// Observe feedback, no reconfiguration, no fault injection — the
-/// elastic control loop stays on the serial driver (RunWorkload); this is
-/// the data plane underneath it.
+/// `options.shards` shard threads: RunShardedOnline with an empty
+/// schedule. Fault-free, single-epoch regime: no Observe feedback, no
+/// reconfiguration, no fault injection — the elastic control loop stays
+/// on the serial driver (RunWorkload); this is the data plane underneath
+/// it.
 ShardedRunResult RunSharded(const Workload& workload,
                             const ClusterConfig& config,
                             const RouterFactory& router_factory,

@@ -1,16 +1,20 @@
-// Online reconfiguration (DESIGN.md §12): the epoch-published
-// double-buffered config must be invisible in the results when no queries
-// arrive inside the build window — with online_build_window_s = 0 the
-// online path produces a bit-identical QueryRecord stream (including the
-// epoch stamps) to the stop-the-world path, for every router, with and
-// without fault injection. With an occupied window the run stays
-// deterministic (wall-clock only moves the stall metric, never the
-// records), and the stall itself is the point: the stop-the-world path
-// charges the full BuildConfig + PlanTransition wall-clock to
-// reconfig_stall_s, the online path only the async kick plus residual
+// Online reconfiguration (DESIGN.md §12): every reconfiguration round is
+// a kick (estimator snapshot + background build) at the boundary and a
+// publish (residual wait + §7 plan + apply) at the first admission at or
+// after boundary + online_build_window_s. With a zero window the publish
+// runs in the admission that kicked it, so the round stalls the admission
+// loop for the whole build exactly like the stop-the-world loop the
+// driver once ran beside it. That loop is gone; its record streams
+// survive as the committed golden digests below, recorded from it for
+// every router, with and without fault injection, and the zero-window
+// round must reproduce them bit for bit (epoch stamps included). With an
+// occupied window the run stays deterministic (wall-clock only moves the
+// stall metric, never the records), and the stall itself is the point:
+// a zero window charges the full build + plan wall-clock to
+// reconfig_stall_s, an occupied one only the async kick plus residual
 // blocking at publish.
 //
-// Also pins two fault-path fixes that ride this PR:
+// Also pins two fault-path fixes:
 //  - adaptive-skip repair (S1): an adaptive check that skips the
 //    transition must still apply when a matched machine is dead, or the
 //    crash sits unrepaired forever;
@@ -18,7 +22,11 @@
 //    whose boundary's transition was skipped is deferred to the next
 //    applied transition, not dropped.
 
+#include <bit>
+#include <cinttypes>
 #include <cstddef>
+#include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <memory>
 #include <iostream>
@@ -56,45 +64,127 @@ DriverOptions BaseOptions(const std::string& fault_spec) {
   return dopts;
 }
 
-RunResult RunOnce(const Workload& workload, const RouterFactory& make_router,
-                  const DriverOptions& dopts) {
+NashDbOptions GoldenSystemOptions() {
   NashDbOptions opts;
   opts.window_scans = 30;
   opts.block_tuples = 100000;
   opts.node_disk = 2000000;
-  NashDbSystem sys(workload.dataset, opts);
+  return opts;
+}
+
+// GoldenWorkload's sparse arrivals and cheap queries keep the cluster at
+// one node, where every router makes the same (only) choice. The loaded
+// variant prices queries high enough to rent 8–20 nodes and packs
+// arrivals densely enough to queue, so the four routers' record streams
+// genuinely differ.
+Workload LoadedWorkload() {
+  BernoulliOptions wopts;
+  wopts.db_gb = 10.0;
+  wopts.num_queries = 600;
+  wopts.price = 0.5;
+  wopts.arrival_span_s = 4.0 * 3600.0;
+  return MakeBernoulliWorkload(wopts);
+}
+
+NashDbOptions LoadedSystemOptions() {
+  NashDbOptions opts;
+  opts.window_scans = 30;
+  opts.block_tuples = 20000;
+  opts.node_disk = 300000;
+  return opts;
+}
+
+RunResult RunOnce(const Workload& workload, const RouterFactory& make_router,
+                  const DriverOptions& dopts,
+                  const NashDbOptions& sys_opts = GoldenSystemOptions()) {
+  NashDbSystem sys(workload.dataset, sys_opts);
   const std::unique_ptr<ScanRouter> router = make_router();
   return RunWorkload(workload, &sys, router.get(), dopts);
 }
 
-void ExpectBitIdentical(const RunResult& online, const RunResult& legacy) {
-  ASSERT_EQ(online.records.size(), legacy.records.size());
-  for (std::size_t i = 0; i < online.records.size(); ++i) {
-    const QueryRecord& o = online.records[i];
-    const QueryRecord& l = legacy.records[i];
-    EXPECT_EQ(o.id, l.id) << "record " << i;
+void ExpectBitIdentical(const RunResult& a, const RunResult& b) {
+  ASSERT_EQ(a.records.size(), b.records.size());
+  for (std::size_t i = 0; i < a.records.size(); ++i) {
+    const QueryRecord& x = a.records[i];
+    const QueryRecord& y = b.records[i];
+    EXPECT_EQ(x.id, y.id) << "record " << i;
     // EXPECT_EQ on doubles is exact comparison — bit-identity is the
     // contract, not approximate agreement.
-    EXPECT_EQ(o.price, l.price) << "record " << i;
-    EXPECT_EQ(o.arrival, l.arrival) << "record " << i;
-    EXPECT_EQ(o.completion, l.completion) << "record " << i;
-    EXPECT_EQ(o.latency_s, l.latency_s) << "record " << i;
-    EXPECT_EQ(o.span, l.span) << "record " << i;
-    EXPECT_EQ(o.tuples_read, l.tuples_read) << "record " << i;
-    EXPECT_EQ(o.retries, l.retries) << "record " << i;
-    EXPECT_EQ(o.epoch, l.epoch) << "record " << i;
-    EXPECT_EQ(o.aborted, l.aborted) << "record " << i;
+    EXPECT_EQ(x.price, y.price) << "record " << i;
+    EXPECT_EQ(x.arrival, y.arrival) << "record " << i;
+    EXPECT_EQ(x.completion, y.completion) << "record " << i;
+    EXPECT_EQ(x.latency_s, y.latency_s) << "record " << i;
+    EXPECT_EQ(x.span, y.span) << "record " << i;
+    EXPECT_EQ(x.tuples_read, y.tuples_read) << "record " << i;
+    EXPECT_EQ(x.retries, y.retries) << "record " << i;
+    EXPECT_EQ(x.epoch, y.epoch) << "record " << i;
+    EXPECT_EQ(x.aborted, y.aborted) << "record " << i;
   }
-  EXPECT_EQ(online.total_cost, legacy.total_cost);
-  EXPECT_EQ(online.transferred_tuples, legacy.transferred_tuples);
-  EXPECT_EQ(online.read_tuples, legacy.read_tuples);
-  EXPECT_EQ(online.transitions, legacy.transitions);
-  EXPECT_EQ(online.transitions_skipped, legacy.transitions_skipped);
-  EXPECT_EQ(online.makespan_s, legacy.makespan_s);
-  EXPECT_EQ(online.aborted_queries, legacy.aborted_queries);
-  EXPECT_EQ(online.scan_retries, legacy.scan_retries);
-  EXPECT_EQ(online.crashes, legacy.crashes);
-  EXPECT_EQ(online.emergency_repairs, legacy.emergency_repairs);
+  EXPECT_EQ(a.total_cost, b.total_cost);
+  EXPECT_EQ(a.transferred_tuples, b.transferred_tuples);
+  EXPECT_EQ(a.read_tuples, b.read_tuples);
+  EXPECT_EQ(a.transitions, b.transitions);
+  EXPECT_EQ(a.transitions_skipped, b.transitions_skipped);
+  EXPECT_EQ(a.makespan_s, b.makespan_s);
+  EXPECT_EQ(a.aborted_queries, b.aborted_queries);
+  EXPECT_EQ(a.scan_retries, b.scan_retries);
+  EXPECT_EQ(a.crashes, b.crashes);
+  EXPECT_EQ(a.emergency_repairs, b.emergency_repairs);
+}
+
+/// FNV-1a over the bit patterns of every field ExpectBitIdentical
+/// compares (plus the remaining RunResult totals), so one 64-bit constant
+/// pins a whole run down to the last double bit.
+class Digest {
+ public:
+  void Add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xffu;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void Add(double v) { Add(std::bit_cast<std::uint64_t>(v)); }
+  std::string Hex() const {
+    char buf[20];
+    std::snprintf(buf, sizeof(buf), "%016" PRIx64, h_);
+    return buf;
+  }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+std::string RunDigest(const RunResult& r) {
+  Digest d;
+  for (const QueryRecord& q : r.records) {
+    d.Add(static_cast<std::uint64_t>(q.id));
+    d.Add(q.price);
+    d.Add(q.arrival);
+    d.Add(q.completion);
+    d.Add(q.latency_s);
+    d.Add(static_cast<std::uint64_t>(q.span));
+    d.Add(static_cast<std::uint64_t>(q.tuples_read));
+    d.Add(static_cast<std::uint64_t>(q.retries));
+    d.Add(q.epoch);
+    d.Add(static_cast<std::uint64_t>(q.aborted));
+    d.Add(static_cast<std::uint64_t>(q.shed));
+  }
+  for (const std::size_t v :
+       {r.total_queries, r.transitions, r.transitions_skipped, r.final_nodes,
+        r.crashes, r.partitions, r.aborted_queries, r.scan_retries,
+        r.shed_queries, r.emergency_repairs}) {
+    d.Add(static_cast<std::uint64_t>(v));
+  }
+  for (const TupleCount v :
+       {r.transferred_tuples, r.bootstrap_transfer_tuples, r.read_tuples,
+        r.repair_transfer_tuples}) {
+    d.Add(static_cast<std::uint64_t>(v));
+  }
+  for (const double v : {r.total_cost, r.makespan_s, r.completed_latency_sum_s,
+                         r.completed_span_sum}) {
+    d.Add(v);
+  }
+  return d.Hex();
 }
 
 // Same scenario as the query-path golden tests: scripted crashes (one with
@@ -103,68 +193,118 @@ void ExpectBitIdentical(const RunResult& online, const RunResult& legacy) {
 constexpr char kFaults[] =
     "crash@1800:n0:for=900;crash@5400:n1;mttf=7200;mttr=1800";
 
+// Digests of the stop-the-world loop's runs of each case below (default
+// DriverOptions otherwise: batched path at block 64 when fault-free,
+// per-scan path under faults). A mismatch prints the digest the current
+// code produced; a legitimate change of simulated outcomes must say why
+// the old stream was wrong before these constants move. GoldenWorkload
+// keeps the cluster at one node, so the four routers share one digest per
+// fault mode; LoadedClusterEveryRouter below pins runs where they differ.
+constexpr char kMaxOfMinsFaultFree[] = "bfaab936fe8b8674";
+constexpr char kMaxOfMinsUnderFaults[] = "910450450fc5d925";
+constexpr char kShortestQueueFaultFree[] = "bfaab936fe8b8674";
+constexpr char kShortestQueueUnderFaults[] = "910450450fc5d925";
+constexpr char kGreedyScFaultFree[] = "bfaab936fe8b8674";
+constexpr char kGreedyScUnderFaults[] = "910450450fc5d925";
+constexpr char kPowerOfTwoFaultFree[] = "bfaab936fe8b8674";
+constexpr char kPowerOfTwoUnderFaults[] = "910450450fc5d925";
+constexpr char kScalarPathFaultFree[] = "bfaab936fe8b8674";
+
 void RunGoldenCase(const RouterFactory& make_router,
-                   const std::string& fault_spec) {
-  const Workload workload = GoldenWorkload();
-  DriverOptions online_opts = BaseOptions(fault_spec);
-  online_opts.online_reconfig = true;
-  const RunResult online = RunOnce(workload, make_router, online_opts);
-  const RunResult legacy =
-      RunOnce(workload, make_router, BaseOptions(fault_spec));
-  ExpectBitIdentical(online, legacy);
+                   const std::string& fault_spec, const char* golden) {
+  const RunResult run =
+      RunOnce(GoldenWorkload(), make_router, BaseOptions(fault_spec));
+  EXPECT_EQ(RunDigest(run), golden);
   // Epoch stamps advance with applied transitions: the last record's
   // epoch is the final epoch, and epochs are bootstrap + applied count.
-  ASSERT_FALSE(online.records.empty());
-  EXPECT_EQ(online.records.back().epoch, online.transitions - 1);
+  ASSERT_FALSE(run.records.empty());
+  EXPECT_EQ(run.records.back().epoch, run.transitions - 1);
 }
 
 TEST(OnlineReconfigGoldenTest, MaxOfMinsFaultFree) {
-  RunGoldenCase([] { return std::make_unique<MaxOfMinsRouter>(); }, "");
+  RunGoldenCase([] { return std::make_unique<MaxOfMinsRouter>(); }, "",
+                kMaxOfMinsFaultFree);
 }
 
 TEST(OnlineReconfigGoldenTest, MaxOfMinsUnderFaults) {
-  RunGoldenCase([] { return std::make_unique<MaxOfMinsRouter>(); }, kFaults);
+  RunGoldenCase([] { return std::make_unique<MaxOfMinsRouter>(); }, kFaults,
+                kMaxOfMinsUnderFaults);
 }
 
 TEST(OnlineReconfigGoldenTest, ShortestQueueFaultFree) {
-  RunGoldenCase([] { return std::make_unique<ShortestQueueRouter>(); }, "");
+  RunGoldenCase([] { return std::make_unique<ShortestQueueRouter>(); }, "",
+                kShortestQueueFaultFree);
 }
 
 TEST(OnlineReconfigGoldenTest, ShortestQueueUnderFaults) {
   RunGoldenCase([] { return std::make_unique<ShortestQueueRouter>(); },
-                kFaults);
+                kFaults, kShortestQueueUnderFaults);
 }
 
 TEST(OnlineReconfigGoldenTest, GreedyScFaultFree) {
-  RunGoldenCase([] { return std::make_unique<GreedyScRouter>(); }, "");
+  RunGoldenCase([] { return std::make_unique<GreedyScRouter>(); }, "",
+                kGreedyScFaultFree);
 }
 
 TEST(OnlineReconfigGoldenTest, GreedyScUnderFaults) {
-  RunGoldenCase([] { return std::make_unique<GreedyScRouter>(); }, kFaults);
+  RunGoldenCase([] { return std::make_unique<GreedyScRouter>(); }, kFaults,
+                kGreedyScUnderFaults);
 }
 
 TEST(OnlineReconfigGoldenTest, PowerOfTwoFaultFree) {
-  // Same seed on both runs: bit-identity includes the RNG draw sequence.
-  RunGoldenCase([] { return std::make_unique<PowerOfTwoRouter>(1234); }, "");
+  // Fixed seed: the digest includes the RNG draw sequence.
+  RunGoldenCase([] { return std::make_unique<PowerOfTwoRouter>(1234); }, "",
+                kPowerOfTwoFaultFree);
 }
 
 TEST(OnlineReconfigGoldenTest, PowerOfTwoUnderFaults) {
   RunGoldenCase([] { return std::make_unique<PowerOfTwoRouter>(1234); },
-                kFaults);
+                kFaults, kPowerOfTwoUnderFaults);
 }
 
 // The scalar per-scan path (route_batch_size = 1) goes through the same
-// epoch machinery as the batched path.
+// round as the batched path.
 TEST(OnlineReconfigGoldenTest, ScalarPathFaultFree) {
-  const Workload workload = GoldenWorkload();
-  DriverOptions online_opts = BaseOptions("");
-  online_opts.online_reconfig = true;
-  online_opts.route_batch_size = 1;
-  DriverOptions legacy_opts = BaseOptions("");
-  legacy_opts.route_batch_size = 1;
-  const auto make_router = [] { return std::make_unique<MaxOfMinsRouter>(); };
-  ExpectBitIdentical(RunOnce(workload, make_router, online_opts),
-                     RunOnce(workload, make_router, legacy_opts));
+  DriverOptions dopts = BaseOptions("");
+  dopts.route_batch_size = 1;
+  const RunResult run =
+      RunOnce(GoldenWorkload(),
+              [] { return std::make_unique<MaxOfMinsRouter>(); }, dopts);
+  EXPECT_EQ(RunDigest(run), kScalarPathFaultFree);
+}
+
+// The same contract where routing choices matter: every router on a
+// multi-node, queueing cluster, with and without faults.
+TEST(OnlineReconfigGoldenTest, LoadedClusterEveryRouter) {
+  struct Case {
+    const char* name;
+    RouterFactory make_router;
+    const char* fault_free;
+    const char* under_faults;
+  };
+  const Case cases[] = {
+      {"maxofmins", [] { return std::make_unique<MaxOfMinsRouter>(); },
+       "1a78f67a55b70f18", "2f8f3312ee922da4"},
+      {"shortest", [] { return std::make_unique<ShortestQueueRouter>(); },
+       "99bea6b0471dbc31", "1e43a62946d83f95"},
+      {"greedysc", [] { return std::make_unique<GreedyScRouter>(); },
+       "499d3b57b88dcb99", "5aa08e755ad4541d"},
+      {"power2", [] { return std::make_unique<PowerOfTwoRouter>(1234); },
+       "7be47f4339b3ec07", "68be11649fee9991"},
+  };
+  const Workload workload = LoadedWorkload();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const RunResult fault_free = RunOnce(workload, c.make_router,
+                                         BaseOptions(""), LoadedSystemOptions());
+    EXPECT_GT(fault_free.final_nodes, 1u);
+    EXPECT_EQ(RunDigest(fault_free), c.fault_free);
+    const RunResult under_faults =
+        RunOnce(workload, c.make_router, BaseOptions(kFaults),
+                LoadedSystemOptions());
+    EXPECT_GT(under_faults.crashes, 0u);
+    EXPECT_EQ(RunDigest(under_faults), c.under_faults);
+  }
 }
 
 // ------------------------------------------------ occupied build window
@@ -177,7 +317,6 @@ TEST(OnlineReconfigWindowTest, OccupiedWindowIsDeterministic) {
   const Workload workload = GoldenWorkload();
   const auto make_router = [] { return std::make_unique<MaxOfMinsRouter>(); };
   DriverOptions dopts = BaseOptions("");
-  dopts.online_reconfig = true;
   dopts.online_build_window_s = 900.0;  // half the reconfigure interval
   const RunResult a = RunOnce(workload, make_router, dopts);
   const RunResult b = RunOnce(workload, make_router, dopts);
@@ -196,7 +335,6 @@ TEST(OnlineReconfigWindowTest, OccupiedWindowUnderFaultsIsDeterministic) {
   const Workload workload = GoldenWorkload();
   const auto make_router = [] { return std::make_unique<MaxOfMinsRouter>(); };
   DriverOptions dopts = BaseOptions(kFaults);
-  dopts.online_reconfig = true;
   dopts.online_build_window_s = 900.0;
   const RunResult a = RunOnce(workload, make_router, dopts);
   const RunResult b = RunOnce(workload, make_router, dopts);
@@ -206,10 +344,10 @@ TEST(OnlineReconfigWindowTest, OccupiedWindowUnderFaultsIsDeterministic) {
 
 // ------------------------------------------------------- stall metric
 
-// The reason the tentpole exists: the stop-the-world path stalls the
-// admission loop for the full build + plan of every round, the online
-// path only for the async kick (estimator snapshot) plus whatever build
-// time the occupied window failed to hide.
+// What the build window buys: a zero window stalls the admission loop
+// for the full build + plan of every round, an occupied one only for the
+// async kick (estimator snapshot) plus whatever build time the window
+// failed to hide.
 TEST(OnlineReconfigStallTest, OnlineStallsLessThanStopTheWorld) {
   BernoulliOptions wopts;
   wopts.db_gb = 40.0;
@@ -222,13 +360,13 @@ TEST(OnlineReconfigStallTest, OnlineStallsLessThanStopTheWorld) {
   // Fine-grained fragments and a deep estimator window make the build
   // genuinely expensive — the stall comparison is meaningless when the
   // whole build costs less than spawning the background thread (the
-  // online path's fixed per-round cost, ~1 ms on a loaded single core).
+  // round's fixed cost, ~1 ms on a loaded single core).
   NashDbOptions sys_opts;
   sys_opts.window_scans = 1000;
   sys_opts.block_tuples = 500;
   sys_opts.node_disk = 60000;
   const auto make_router = [] { return std::make_unique<MaxOfMinsRouter>(); };
-  const auto run = [&](bool online_mode) {
+  const auto run = [&](SimTime window_s) {
     NashDbSystem sys(workload.dataset, sys_opts);
     const std::unique_ptr<ScanRouter> router = make_router();
     DriverOptions dopts = BaseOptions("");
@@ -237,33 +375,34 @@ TEST(OnlineReconfigStallTest, OnlineStallsLessThanStopTheWorld) {
     // trivial config (almost no wall-clock to hide the most expensive
     // build of the run behind).
     dopts.prewarm_scans = 2000;
-    dopts.online_reconfig = online_mode;
-    if (online_mode) dopts.online_build_window_s = 900.0;
+    dopts.online_build_window_s = window_s;
     return RunWorkload(workload, &sys, router.get(), dopts);
   };
-  // Wall-clock measurement: take the min over two runs of each mode (the
-  // min is the clean estimate of the true cost; scheduling noise only
-  // ever inflates a run).
-  RunResult legacy = run(false);
-  RunResult online = run(true);
+  // Wall-clock measurement: take the min over two runs of each window
+  // (the min is the clean estimate of the true cost; scheduling noise
+  // only ever inflates a run).
+  RunResult blocking = run(0.0);
+  RunResult hidden = run(900.0);
   {
-    const RunResult legacy2 = run(false);
-    const RunResult online2 = run(true);
-    if (legacy2.reconfig_stall_s < legacy.reconfig_stall_s) legacy = legacy2;
-    if (online2.reconfig_stall_s < online.reconfig_stall_s) online = online2;
+    const RunResult blocking2 = run(0.0);
+    const RunResult hidden2 = run(900.0);
+    if (blocking2.reconfig_stall_s < blocking.reconfig_stall_s) {
+      blocking = blocking2;
+    }
+    if (hidden2.reconfig_stall_s < hidden.reconfig_stall_s) hidden = hidden2;
   }
   // Records must agree on everything epoch-visible even though the stall
   // differs (window boundaries shift which epoch a record is stamped
   // with, so only the aggregate invariants are compared here).
-  EXPECT_EQ(online.records.size(), legacy.records.size());
-  EXPECT_GT(legacy.reconfig_stall_s, 0.0);
-  std::cerr << "reconfig stall: legacy=" << legacy.reconfig_stall_s
-            << "s online=" << online.reconfig_stall_s << "s\n";
-  // The online stall excludes every wall-clock second the window hid;
+  EXPECT_EQ(hidden.records.size(), blocking.records.size());
+  EXPECT_GT(blocking.reconfig_stall_s, 0.0);
+  std::cerr << "reconfig stall: window 0=" << blocking.reconfig_stall_s
+            << "s window 900=" << hidden.reconfig_stall_s << "s\n";
+  // The occupied window's stall excludes every wall-clock second it hid;
   // with dense arrivals and a 900 s window the builds finish in the
   // background. Guard loosely (wall-clock comparison) — the invariant is
   // "strictly less", the magnitude is reported by the sim CLI.
-  EXPECT_LT(online.reconfig_stall_s, legacy.reconfig_stall_s);
+  EXPECT_LT(hidden.reconfig_stall_s, blocking.reconfig_stall_s);
 }
 
 // --------------------------------------- adaptive-skip repair fix (S1)
@@ -280,7 +419,6 @@ TEST(AdaptiveSkipRepairTest, DeadNodeForcesAdaptiveApply) {
   dopts.adaptive_reconfigure = true;
   dopts.adaptive_check_interval_s = 600.0;
   dopts.adaptive_min_change = 2.0;  // unreachable: no plan moves 200%
-  const RunResult faulted = RunOnce(workload, make_router, dopts);
 
   // Control: the same run without the crash never meets the threshold, so
   // nothing but the bootstrap transition applies.
@@ -292,26 +430,16 @@ TEST(AdaptiveSkipRepairTest, DeadNodeForcesAdaptiveApply) {
   EXPECT_GT(control.transitions_skipped, 0u);
 
   // With the crash, the first check after delivery applies regardless of
-  // the threshold and replaces the dead machine.
-  EXPECT_EQ(faulted.crashes, 1u);
-  EXPECT_GE(faulted.transitions, 2u);
-  EXPECT_EQ(faulted.emergency_repairs, 0u);
-}
-
-// Same scenario through the online path: the publish-side adaptive
-// decision carries the identical dead-machine override.
-TEST(AdaptiveSkipRepairTest, DeadNodeForcesAdaptiveApplyOnline) {
-  const Workload workload = GoldenWorkload();
-  const auto make_router = [] { return std::make_unique<MaxOfMinsRouter>(); };
-  DriverOptions dopts = BaseOptions("crash@1800:n0");
-  dopts.faults.emergency_repair = false;
-  dopts.adaptive_reconfigure = true;
-  dopts.adaptive_check_interval_s = 600.0;
-  dopts.adaptive_min_change = 2.0;
-  dopts.online_reconfig = true;
-  const RunResult faulted = RunOnce(workload, make_router, dopts);
-  EXPECT_EQ(faulted.crashes, 1u);
-  EXPECT_GE(faulted.transitions, 2u);
+  // the threshold and replaces the dead machine — at the boundary itself
+  // (window 0) and at a publish that lands inside a later window alike.
+  for (const SimTime window_s : {0.0, 300.0}) {
+    SCOPED_TRACE(window_s);
+    dopts.online_build_window_s = window_s;
+    const RunResult faulted = RunOnce(workload, make_router, dopts);
+    EXPECT_EQ(faulted.crashes, 1u);
+    EXPECT_GE(faulted.transitions, 2u);
+    EXPECT_EQ(faulted.emergency_repairs, 0u);
+  }
 }
 
 // ------------------------------- interrupts in skipped windows (S3)

@@ -36,8 +36,10 @@
 #              bench_data_plane --smoke, and bench_transition_scale
 #              --smoke in the plain Release tree and validate the
 #              BENCH_query_path.json / BENCH_data_plane.json /
-#              BENCH_transition.json they write (CI runs this and
-#              uploads the JSONs as artifacts). Smoke iteration counts
+#              BENCH_transition.json they write under build/bench-smoke/
+#              (never over the committed reference JSONs at the repo
+#              root; CI runs this and uploads the JSONs as artifacts).
+#              Smoke iteration counts
 #              keep it to seconds; the numbers are noise-level, the
 #              point is that the benches run, the identity checks
 #              inside them pass (route identity for the query path,
@@ -91,7 +93,11 @@ if [[ "${BENCH_SMOKE}" == "1" ]]; then
   echo "== query-path bench (smoke) =="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   cmake --build build -j "${JOBS}" --target bench_query_path
-  out="BENCH_query_path.json"
+  # Smoke numbers are noise-level: keep them out of the committed
+  # reference JSONs at the repo root.
+  smoke_dir="build/bench-smoke"
+  mkdir -p "${smoke_dir}"
+  out="${smoke_dir}/BENCH_query_path.json"
   ./build/bench/bench_query_path --smoke --out="${out}"
   # Validate the artifact: parseable JSON with the three node_count
   # configs (python3 when available, key-presence grep otherwise).
@@ -119,7 +125,7 @@ EOF
   echo
   echo "== data-plane bench (smoke) =="
   cmake --build build -j "${JOBS}" --target bench_data_plane
-  dp_out="BENCH_data_plane.json"
+  dp_out="${smoke_dir}/BENCH_data_plane.json"
   ./build/bench/bench_data_plane --smoke --out="${dp_out}"
   # Validate: parseable JSON covering the full shards x batch sweep, with
   # positive throughput and tails at every point.
@@ -149,7 +155,7 @@ EOF
   echo
   echo "== transition-scale bench (smoke) =="
   cmake --build build -j "${JOBS}" --target bench_transition_scale
-  tr_out="BENCH_transition.json"
+  tr_out="${smoke_dir}/BENCH_transition.json"
   ./build/bench/bench_transition_scale --smoke --out="${tr_out}"
   # Validate: parseable JSON; every size planned and validated, and the
   # sparse-vs-dense plan-cost identity was exercised on at least one

@@ -46,8 +46,8 @@ struct Flags {
   bool no_repair = false;           // disable emergency re-replication
   std::size_t shards = 1;           // driver shards (1 = serial driver)
   std::size_t batch = 64;           // scans per routed block
-  bool online = false;              // online (zero-stall) reconfiguration
-  double build_window_s = 0.0;      // online publish delay (sim seconds)
+  bool online = false;              // sharded online epoch replay
+  double build_window_s = 0.0;      // round publish delay (sim seconds)
   bool help = false;
 };
 
@@ -86,23 +86,20 @@ void PrintHelp() {
       "                     --metrics\n"
       "\n"
       "Online reconfiguration (DESIGN.md 12):\n"
-      "  --online-reconfig  build each new configuration on a background\n"
-      "                     thread while routing continues against the\n"
-      "                     current epoch, publishing at the boundary's\n"
-      "                     simulated time (zero-stall; the summary's\n"
-      "                     'reconfig stall' line shows the wall-clock the\n"
-      "                     admission loop actually lost in each mode).\n"
-      "                     With --shards=N>1 the sharded data plane\n"
-      "                     replays a prefix-derived epoch schedule,\n"
+      "  --build-window=S   simulated seconds between a reconfiguration\n"
+      "                     boundary and the publish of the configuration\n"
+      "                     built there, which routing overlaps with the\n"
+      "                     background build (default 0 = publish at the\n"
+      "                     boundary: the admission loop stalls for the\n"
+      "                     whole build; the summary's 'reconfig stall'\n"
+      "                     line shows the wall-clock it lost)\n"
+      "  --online-reconfig  with --shards=N>1, replay a prefix-derived\n"
+      "                     epoch schedule on the sharded data plane,\n"
       "                     publishing epochs while the shards route; if\n"
       "                     --faults is also given, the serial elastic\n"
       "                     control plane runs first under the faults and\n"
-      "                     the fault-free sharded replay follows\n"
-      "  --build-window=S   simulated seconds between a boundary and its\n"
-      "                     epoch's publish (serial online path only;\n"
-      "                     default 0 = publish at the boundary, which\n"
-      "                     keeps records bit-identical to the\n"
-      "                     stop-the-world path)\n"
+      "                     the fault-free sharded replay follows. Serial\n"
+      "                     runs need no flag: every round is built online\n"
       "\n"
       "Fault injection (DESIGN.md 8):\n"
       "  --faults=SPEC      semicolon-separated clauses:\n"
@@ -322,8 +319,8 @@ void PrintSerialSummary(const Flags& f, const Workload& wl,
   std::printf("workload           : %s (%zu queries, %lu tuples)\n",
               wl.name.c_str(), wl.queries.size(),
               static_cast<unsigned long>(wl.dataset.TotalTuples()));
-  std::printf("system / router    : %s / %s%s\n", f.system.c_str(),
-              f.router.c_str(), f.online ? " (online reconfig)" : "");
+  std::printf("system / router    : %s / %s\n", f.system.c_str(),
+              f.router.c_str());
   std::printf("mean latency       : %10.1f s\n", r.MeanLatency());
   std::printf("p50 / p95 / p99    : %10.1f / %.1f / %.1f s\n",
               r.TailLatency(50), r.TailLatency(95), r.TailLatency(99));
@@ -332,10 +329,9 @@ void PrintSerialSummary(const Flags& f, const Workload& wl,
   std::printf("final cluster size : %10zu nodes\n", r.final_nodes);
   std::printf("transitions        : %10zu (+%zu skipped)\n", r.transitions,
               r.transitions_skipped);
-  std::printf("reconfig stall     : %10.4f s wall-clock (%s)\n",
-              r.reconfig_stall_s,
-              f.online ? "online: kick + residual publish wait"
-                       : "stop-the-world: build + plan, every round");
+  std::printf("reconfig stall     : %10.4f s wall-clock (build window "
+              "%g s: kick + residual build wait + plan, every round)\n",
+              r.reconfig_stall_s, f.build_window_s);
   std::printf("data moved         : %10.1f GB (bootstrap %.1f GB)\n",
               static_cast<double>(r.transferred_tuples) / 1000.0,
               static_cast<double>(r.bootstrap_transfer_tuples) / 1000.0);
@@ -502,7 +498,6 @@ int main(int argc, char** argv) {
     d.faults.emergency_repair = !f.no_repair;
   }
 
-  d.online_reconfig = f.online;
   d.online_build_window_s = f.build_window_s;
   d.route_batch_size = f.batch;
 
