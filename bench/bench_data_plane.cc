@@ -17,10 +17,11 @@
 // p50/p99 ns/scan come from a separate single-threaded per-block-timed
 // sampling pass so no timer overhead pollutes the throughput numbers.
 //
-// Batch size 1 means what it means in the driver (route_batch_size <= 1
-// disables the batched path): the shard consumer pops one scan per ring
-// transaction and routes it through the PR 5 per-scan scalar kernel —
-// RequestsForInto + WaitView + RouteInto + per-read enqueue. Batch > 1
+// Batch size 1 is the scalar baseline: the shard consumer pops one scan
+// per ring transaction and routes it through the per-scan scalar kernel —
+// RequestsForInto + WaitView + RouteInto + per-read enqueue. (The driver
+// itself routes every query through a block; route_batch_size = 1 there
+// means one-query blocks.) Batch > 1
 // engages the batched kernel: bulk ring drains, block-level SoA resolve
 // with O(1) table-span lookup, RouteBatchInto's specialized cores. The
 // headline comparison is 4 shards/batch 256 against the 1-shard/batch-1

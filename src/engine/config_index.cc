@@ -128,7 +128,7 @@ NASHDB_HOT void ConfigIndex::RequestsForInto(const Scan& scan,
   if (scan.range.empty()) return;
   AppendRequests(scan.table, scan.range.start, scan.range.end,
                  &scratch->requests);
-  scratch->external_pool = cand_pool_.data();
+  scratch->cand_pool = cand_pool_.data();
 }
 
 NASHDB_HOT void ConfigIndex::ResolveBatchInto(ScanBatch* batch) const {

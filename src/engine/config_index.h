@@ -11,32 +11,22 @@
 
 namespace nashdb {
 
-/// Caller-owned reusable buffers for the allocation-free request-resolve
-/// path (DESIGN.md §10). A scratch grows to the largest scan it has seen
-/// and keeps its capacity across scans, so the steady state allocates
-/// nothing.
-///
-/// Two backing modes for the candidate pool: ConfigIndex::RequestsForInto
-/// leaves `cands` empty and points the batch at the index's own pool
-/// (zero copy); LivenessOverlay::FilterLive materializes the filtered
-/// candidates into `cands`.
+/// Caller-owned reusable buffer for the allocation-free scalar resolve
+/// (ConfigIndex::RequestsForInto, DESIGN.md §10): one scan's requests,
+/// their candidate spans pointing into the resolving index's pool. It
+/// grows to the largest scan it has seen and keeps its capacity across
+/// scans, so the steady state allocates nothing.
 struct ScanScratch {
   std::vector<FlatRequest> requests;
-  std::vector<NodeId> cands;
-  /// When non-null, the candidate pool the requests' spans index into;
-  /// otherwise the spans index into `cands`.
-  const NodeId* external_pool = nullptr;
+  const NodeId* cand_pool = nullptr;
 
   void Clear() {
     requests.clear();
-    cands.clear();
-    external_pool = nullptr;
+    cand_pool = nullptr;
   }
 
   RequestBatch Batch() const {
-    return RequestBatch{requests.data(), requests.size(),
-                        external_pool != nullptr ? external_pool
-                                                 : cands.data()};
+    return RequestBatch{requests.data(), requests.size(), cand_pool};
   }
 };
 
@@ -63,9 +53,9 @@ class ConfigIndex {
   /// tuple count (a fragment is the minimum read granularity, like a disk
   /// block — §5.1) and the nodes holding a replica.
   ///
-  /// Seed (reference) API: materializes fresh vectors per call. Kept for
-  /// tests and the legacy query path; the driver's steady state uses
-  /// RequestsForInto.
+  /// Seed (reference) API: materializes fresh vectors per call. Kept as
+  /// the oracle of the resolve tests and bench_query_path's seed
+  /// baseline; the query path resolves whole blocks (ResolveBatchInto).
   std::vector<FragmentRequest> RequestsFor(const Scan& scan) const;
 
   /// Allocation-free variant: resolves `scan` into `*scratch` (cleared

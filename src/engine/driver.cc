@@ -8,7 +8,6 @@
 #include <future>
 #include <memory>
 #include <queue>
-#include <set>
 #include <utility>
 
 #include "cluster/faults.h"
@@ -242,18 +241,9 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
     cur = std::make_unique<ConfigEpoch>(0, std::move(config));
   }
 
-  // --- Steady-state query-path state (DESIGN.md §10). All per-scan
-  // buffers live here and are reused for the whole run: the flat path
-  // resolves requests into `scan_scratch` (candidate spans pointing into
-  // the index's pool), filters liveness into `live_scratch` only when a
-  // node is actually down at the attempt time, evaluates waits lazily
-  // through a WaitView over the sim's busy-until array, and routes into
-  // `routed_buf` via the routers' scratch-state entry point — no per-scan
-  // allocation and no per-scan work proportional to the cluster size.
-  ScanScratch scan_scratch;
-  ScanScratch live_scratch;
-  RouterScratch router_scratch;
-  std::vector<RoutedRead> routed_buf;
+  // Routability mirror for the query path (DESIGN.md §10): re-synced
+  // only when liveness can change, so a flush asks "is anything down at
+  // this attempt time?" in O(1).
   LivenessOverlay liveness;
   liveness.SyncFrom(sim);
 
@@ -261,7 +251,6 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
                                      ? options.adaptive_check_interval_s
                                      : options.reconfigure_interval_s;
   SimTime next_reconfigure = check_interval;
-  const double spt = 1.0 / options.sim.tuples_per_second;
 
   // --- Fault machinery. All of it is driven from this (serial) loop at
   // simulated-time boundaries, so a given spec + seed replays the exact
@@ -405,29 +394,57 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
     if (options.keep_records) result.records.push_back(record);
   };
 
-  // --- Batched fast path (DESIGN.md §11). Fault-free flat-path runs
-  // gather scans across consecutive queries into a PendingBlock and route
-  // it with one RouteBatchInto call. The block flushes when full and at
-  // every reconfiguration boundary, so it never spans a configuration
-  // change; it commits each scan's reads between scans, keeping the record
-  // stream bit-identical to the per-scan path.
+  // In-flight completion times for admission control: popped at each
+  // arrival, so the pending count is exact and purely simulated-time
+  // driven (deterministic at any thread count).
   const bool overload_on = options.overload.Active();
-  const bool batched = !options.legacy_query_path && !faults_on &&
-                       !overload_on && options.route_batch_size > 1;
+  std::priority_queue<SimTime, std::vector<SimTime>, std::greater<SimTime>>
+      inflight;
+  const std::size_t hard_cap =
+      overload_on ? static_cast<std::size_t>(
+                        options.overload.hard_cap_factor *
+                        static_cast<double>(
+                            options.overload.max_pending_queries))
+                  : 0;
+
+  // --- The query path (DESIGN.md §11). Admitted queries' scans gather
+  // into a PendingBlock, routed with one RouteBatchInto call when it
+  // flushes: when full, and at every reconfiguration boundary, so a block
+  // never spans a configuration change. Fault and overload runs flush
+  // after every admission instead (a block holds one query), so fault
+  // delivery, emergency repair, round kicks and the shed check always see
+  // an empty block and the exact in-flight count. Under faults the flush
+  // routes around dead and partitioned nodes, with backoff retries and
+  // aborts.
+  const bool flush_each_query = faults_on || overload_on;
   PendingBlock block(&sim, options.phi_s, collect);
+  const FlushFaults flush_faults{&liveness, &options.faults};
 
   // Routes the pending block and commits its query records in admission
   // order.
   const auto flush_block = [&]() {
-    block.Flush(cur->index(), router, [&](const QueryRecord& record) {
-      if (collect) {
-        metrics::Count("routing.queries");
-        metrics::Observe("routing.span", static_cast<double>(record.span));
-        metrics::Observe("routing.latency_s", record.latency_s);
-      }
-      result.makespan_s = std::max(result.makespan_s, record.completion);
-      commit_record(record);
-    });
+    block.Flush(
+        cur->index(), router,
+        [&](const QueryRecord& record) {
+          if (record.retries > 0) {
+            result.scan_retries += record.retries;
+            if (collect) metrics::Count("faults.scan_retries", record.retries);
+          }
+          if (record.aborted) {
+            if (collect) metrics::Count("faults.query_aborts");
+          } else if (collect) {
+            metrics::Count("routing.queries");
+            metrics::Observe("routing.span", static_cast<double>(record.span));
+            metrics::Observe("routing.latency_s", record.latency_s);
+          }
+          // Reads enqueued before an abort still occupy their nodes, so the
+          // makespan advances either way — and the query held an admission
+          // slot until its last enqueued read finished.
+          result.makespan_s = std::max(result.makespan_s, record.completion);
+          if (overload_on) inflight.push(record.completion);
+          commit_record(record);
+        },
+        faults_on ? &flush_faults : nullptr);
   };
 
   // --- Reconfiguration rounds (DESIGN.md §12), periodic or adaptive
@@ -449,7 +466,7 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
   // reads the heap-pinned PendingBuild and the current (immutable) epoch.
   const auto kick_build = [&](SimTime boundary) {
     NASHDB_DCHECK(pending_build == nullptr);
-    if (batched) flush_block();
+    flush_block();
     // The transition must see the cluster's true liveness at its time.
     deliver_faults(boundary);
     auto pb = std::make_unique<PendingBuild>();
@@ -491,7 +508,7 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
     NASHDB_VALIDATE_OR_DIE(ValidatePlan(plan, cur->config(), next, dead));
     const double plan_ms = collect ? MsSince(plan_start) : 0.0;
     stall_s += SecondsSince(plan_start);
-    if (batched) flush_block();
+    flush_block();
     const SimTime at = pb.boundary;
     bool apply = true;
     if (options.adaptive_reconfigure) {
@@ -602,18 +619,6 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
     pending_partition = false;
   };
 
-  // In-flight completion times for admission control: popped at each
-  // arrival, so the pending count is exact and purely simulated-time
-  // driven (deterministic at any thread count).
-  std::priority_queue<SimTime, std::vector<SimTime>, std::greater<SimTime>>
-      inflight;
-  const std::size_t hard_cap =
-      overload_on ? static_cast<std::size_t>(
-                        options.overload.hard_cap_factor *
-                        static_cast<double>(
-                            options.overload.max_pending_queries))
-                  : 0;
-
   for (TimedQuery tq; next_query(&tq);) {
     const SimTime now = tq.arrival;
 
@@ -659,160 +664,17 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
 
     if (!options.warmup_observe) system->Observe(tq.query);
 
-    if (batched) {
-      // Admit into the pending block instead of routing inline; the
-      // block flushes when full (and at every boundary above).
-      block.Admit(tq, cur->epoch());
-      if (block.scans() >= options.route_batch_size) flush_block();
-      continue;
+    block.Admit(tq, cur->epoch());
+    if (flush_each_query || block.scans() >= options.route_batch_size) {
+      flush_block();
     }
-
-    QueryRecord record;
-    record.id = tq.query.id;
-    record.price = tq.query.price;
-    record.arrival = now;
-    record.epoch = cur->epoch();
-
-    std::set<NodeId> nodes_used;
-    SimTime completion = now;
-    for (const Scan& scan : tq.query.scans) {
-      // Resolve F(s) once per scan; retries only re-filter liveness. The
-      // flat path resolves into the reusable scratch (candidate spans
-      // pointing into the index's pool — nothing is copied); the legacy
-      // path materializes fresh vectors like the seed code did.
-      std::vector<FragmentRequest> legacy_requests;
-      if (options.legacy_query_path) {
-        legacy_requests = cur->index().RequestsFor(scan);
-        if (legacy_requests.empty()) continue;
-      } else {
-        cur->index().RequestsForInto(scan, &scan_scratch);
-        if (scan_scratch.requests.empty()) continue;
-      }
-
-      // Retry loop: a scan whose live candidate set has a hole backs off
-      // and re-attempts at a later simulated time — scheduled recoveries
-      // are visible to future-time liveness queries, so waiting can
-      // succeed without any new event delivery.
-      SimTime attempt_time = now;
-      std::size_t attempts = 0;
-      for (;;) {
-        // Enqueues one successful routing; `tuples_of` maps a request
-        // index to its tuple count in whichever representation routed.
-        const auto enqueue_all = [&](const std::vector<RoutedRead>& routed,
-                                     const auto& tuples_of) {
-          for (const RoutedRead& rr : routed) {
-            const bool first_use = nodes_used.insert(rr.node).second;
-            const TupleCount tuples = tuples_of(rr.request_index);
-            if (collect) {
-              metrics::Count("routing.requests");
-              metrics::Observe("routing.queue_wait_s",
-                               sim.WaitSeconds(rr.node, attempt_time));
-            }
-            const SimTime done =
-                sim.EnqueueRead(rr.node, tuples, attempt_time, first_use);
-            completion = std::max(completion, done);
-            record.tuples_read += tuples;
-          }
-        };
-
-        bool routed_ok = false;
-        if (options.legacy_query_path) {
-          std::vector<FragmentRequest> live = legacy_requests;
-          if (faults_on) {
-            for (FragmentRequest& req : live) {
-              req.candidates.erase(
-                  std::remove_if(req.candidates.begin(), req.candidates.end(),
-                                 [&](NodeId m) {
-                                   return !sim.NodeRoutable(m, attempt_time);
-                                 }),
-                  req.candidates.end());
-            }
-          }
-          std::vector<double> waits(cur->config().node_count(), 0.0);
-          for (NodeId m = 0; m < cur->config().node_count(); ++m) {
-            waits[m] = sim.WaitSeconds(m, attempt_time);
-          }
-          Result<std::vector<RoutedRead>> routed =
-              router->Route(live, std::move(waits), spt, options.phi_s);
-          routed_ok = routed.ok();
-          if (routed_ok) {
-            NASHDB_CHECK_EQ(routed->size(), live.size());
-            enqueue_all(*routed,
-                        [&](std::size_t i) { return live[i].tuples; });
-          }
-        } else {
-          // Steady-state fast path: when every node is alive at the
-          // attempt time (the overlay answers in O(1)), the unfiltered
-          // resolve is routed as-is — no copy of any kind. Filtering
-          // rewrites only the candidate spans, and only for attempts
-          // where some node is actually down.
-          RequestBatch batch = scan_scratch.Batch();
-          if (faults_on && liveness.AnyDeadAt(attempt_time)) {
-            liveness.FilterLive(scan_scratch, attempt_time, &live_scratch);
-            batch = live_scratch.Batch();
-          }
-          const WaitView waits(sim.BusyUntil().data(), sim.node_count(),
-                               attempt_time);
-          const Status status = router->RouteInto(
-              batch, waits, spt, options.phi_s, &router_scratch, &routed_buf);
-          routed_ok = status.ok();
-          if (routed_ok) {
-            NASHDB_CHECK_EQ(routed_buf.size(), batch.count);
-            enqueue_all(routed_buf, [&](std::size_t i) {
-              return batch.requests[i].tuples;
-            });
-          }
-        }
-        if (routed_ok) break;
-        // Coverage gap. Back off and retry, abort once out of budget.
-        ++attempts;
-        if (attempts > options.faults.max_scan_retries) {
-          record.aborted = true;
-          break;
-        }
-        // Shared per-query pool (when configured): the retry about to be
-        // consumed must still fit, so the budget is exhausted exactly at
-        // the documented bound (record.retries == budget on abort).
-        if (options.faults.query_retry_budget > 0 &&
-            record.retries >= options.faults.query_retry_budget) {
-          record.aborted = true;
-          break;
-        }
-        attempt_time += RetryBackoffSeconds(options.faults, attempts);
-        ++record.retries;
-        ++result.scan_retries;
-        if (collect) metrics::Count("faults.scan_retries");
-        if (attempt_time - now > options.faults.query_timeout_s) {
-          record.aborted = true;
-          break;
-        }
-      }
-      if (record.aborted) break;
-    }
-
-    record.completion = completion;
-    record.latency_s = completion - now;
-    record.span = nodes_used.size();
-    if (record.aborted) {
-      if (collect) metrics::Count("faults.query_aborts");
-    } else if (collect) {
-      metrics::Count("routing.queries");
-      metrics::Observe("routing.span", static_cast<double>(record.span));
-      metrics::Observe("routing.latency_s", record.latency_s);
-    }
-    // Reads enqueued before an abort still occupy their nodes, so the
-    // makespan advances either way — and the query held an admission slot
-    // until its last enqueued read finished.
-    result.makespan_s = std::max(result.makespan_s, completion);
-    if (overload_on) inflight.push(completion);
-    commit_record(record);
   }
   // A build still in flight when the workload ends (an occupied window
   // past the last arrival) is published so its transition lands, as every
   // zero-window boundary the workload reached does; the publish flushes
   // the pending block against the outgoing epoch first.
   if (pending_build) publish_epoch();
-  if (batched) flush_block();
+  flush_block();
 
   result.total_cost = sim.AccruedCost(result.makespan_s);
   result.transferred_tuples = sim.TotalTransferredTuples();

@@ -135,9 +135,10 @@ struct DriverOptions {
   FaultOptions faults;
 
   /// Admission control + load shedding; inactive by default. An active
-  /// overload policy forces the per-scan query path (like faults do): the
-  /// batched path doesn't know completion times until it flushes, and the
-  /// shed decision needs the exact in-flight count at each arrival.
+  /// overload policy routes every query at its admission (one-query
+  /// blocks, like fault runs): a block doesn't know completion times until
+  /// it flushes, and the shed decision needs the exact in-flight count at
+  /// each arrival.
   OverloadOptions overload;
 
   /// Keep the per-query records on RunResult::records. Disable for
@@ -147,25 +148,15 @@ struct DriverOptions {
   /// RunResult accessors fall back to them when records are empty.
   bool keep_records = true;
 
-  /// Route scans through the seed (allocating) query path — fresh request
-  /// vectors per scan, an unconditional filtered copy per retry, a full
-  /// O(node_count) wait-vector rebuild per attempt, and the routers'
-  /// allocating Route entry point — instead of the flat scratch-buffer
-  /// path (DESIGN.md §10). The two paths produce bit-identical
-  /// QueryRecord streams on identical inputs (enforced by the
-  /// golden-equivalence test); this switch exists for that test and for
-  /// bench_query_path's before/after measurement.
-  bool legacy_query_path = false;
-
-  /// Scans per routed block on the batched fast path (DESIGN.md §11).
-  /// Fault-free flat-path runs gather up to this many scans across
-  /// consecutive queries and route them with one RouteBatchInto call
-  /// (flushing at every reconfiguration boundary, so a block never spans
-  /// a configuration change); 1 keeps the per-scan path. Legacy,
-  /// fault-injected and overload-controlled runs (an active `overload`
-  /// policy) always take the per-scan path, whatever this is set to.
-  /// Block size never changes results: both paths produce bit-identical
-  /// QueryRecord streams (golden test).
+  /// Scans per routed block (DESIGN.md §11). Fault-free runs gather
+  /// admitted queries' scans until the block holds at least this many and
+  /// route them with one RouteBatchInto call (flushing at every
+  /// reconfiguration boundary, so a block never spans a configuration
+  /// change); 1 routes one-query blocks. Fault-injected and
+  /// overload-controlled runs (an active `overload` policy) route
+  /// one-query blocks whatever this is set to. Block size never changes
+  /// results: every size produces the same bit-identical QueryRecord
+  /// stream (golden digests).
   std::size_t route_batch_size = 64;
 
   /// Reconfiguration rounds (DESIGN.md §12). Every round — periodic or

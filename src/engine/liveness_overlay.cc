@@ -14,22 +14,19 @@ void LivenessOverlay::SyncFrom(const ClusterSim& sim) {
   }
 }
 
-void LivenessOverlay::FilterLive(const ScanScratch& src, SimTime at,
-                                 ScanScratch* dst) const {
-  dst->Clear();
-  const RequestBatch batch = src.Batch();
-  dst->requests.reserve(batch.count);
-  for (std::size_t i = 0; i < batch.count; ++i) {
-    const FlatRequest& req = batch.requests[i];
-    const NodeId* cand = batch.cands(req);
+void LivenessOverlay::FilterLive(const RequestBatch& src, SimTime at,
+                                 std::vector<FlatRequest>* requests,
+                                 std::vector<NodeId>* cands) const {
+  for (std::size_t i = 0; i < src.count; ++i) {
+    const FlatRequest& req = src.requests[i];
+    const NodeId* cand = src.cands(req);
     FlatRequest out = req;
-    out.cand_begin = static_cast<std::uint32_t>(dst->cands.size());
+    out.cand_begin = static_cast<std::uint32_t>(cands->size());
     for (std::uint32_t k = 0; k < req.cand_count; ++k) {
-      if (AliveAt(cand[k], at)) dst->cands.push_back(cand[k]);
+      if (AliveAt(cand[k], at)) cands->push_back(cand[k]);
     }
-    out.cand_count =
-        static_cast<std::uint32_t>(dst->cands.size()) - out.cand_begin;
-    dst->requests.push_back(out);
+    out.cand_count = static_cast<std::uint32_t>(cands->size()) - out.cand_begin;
+    requests->push_back(out);
   }
 }
 

@@ -5,7 +5,7 @@
 
 #include "cluster/sim.h"
 #include "common/types.h"
-#include "engine/config_index.h"
+#include "routing/router.h"
 
 namespace nashdb {
 
@@ -16,8 +16,8 @@ namespace nashdb {
 /// every retry of every scan (DESIGN.md §10).
 ///
 /// The payoff is the O(1) AnyDeadAt fast path: in the common case where
-/// every node is routable at the attempt time, the driver routes directly
-/// on the unfiltered candidate spans and no per-scan filtering (or
+/// every node is routable at the attempt time, the query path routes the
+/// resolved block on its unfiltered candidate spans and no filtering (or
 /// copying) happens at all. Only when some node is dead or partitioned at
 /// the attempt time does FilterLive materialize a routable-candidates
 /// view. Partitioned nodes are filtered exactly like dead ones here
@@ -42,13 +42,16 @@ class LivenessOverlay {
     return at >= routable_until_[m];
   }
 
-  /// Rewrites `src` into `dst`, keeping only candidates routable at `at`.
-  /// The request list itself (order, frag, tuples, request indices) is
-  /// preserved; a request whose replicas are all dead or partitioned
+  /// Appends `src`'s requests (one scan's) to `*requests`, keeping only
+  /// candidates routable at `at`: each request's routable candidates are
+  /// appended to `*cands` and its span rewritten to index into it. Order,
+  /// frag and tuples are preserved, so request indices still name the
+  /// same fragments; a request whose replicas are all dead or partitioned
   /// keeps an empty candidate span, which routers report as
   /// FailedPrecondition.
-  void FilterLive(const ScanScratch& src, SimTime at,
-                  ScanScratch* dst) const;
+  void FilterLive(const RequestBatch& src, SimTime at,
+                  std::vector<FlatRequest>* requests,
+                  std::vector<NodeId>* cands) const;
 
  private:
   std::vector<SimTime> routable_until_;

@@ -11,24 +11,32 @@
 #include "common/status.h"
 #include "engine/config_index.h"
 #include "engine/driver.h"
+#include "engine/liveness_overlay.h"
 #include "routing/router.h"
 #include "routing/scan_batch.h"
 #include "workload/workload.h"
 
 namespace nashdb {
 
-/// The batched block path (DESIGN.md §11), shared by the serial driver and
-/// every shard of the sharded data plane: admitted queries' scans gather
-/// into one SoA block, which is routed with one resolve pass and one
-/// RouteBatchInto call — one scratch bind and one virtual dispatch per
-/// block instead of per scan.
+/// What a flush needs to route around failed nodes (DESIGN.md §8): the
+/// driver's liveness overlay and the retry/abort rules.
+struct FlushFaults {
+  const LivenessOverlay* liveness = nullptr;
+  const FaultOptions* options = nullptr;
+};
+
+/// The serial query path (DESIGN.md §10–§11), also run by every shard of
+/// the sharded data plane: admitted queries' scans gather into one SoA
+/// block, which is routed with one resolve pass and one RouteBatchInto
+/// call — one scratch bind and one virtual dispatch per block instead of
+/// per scan.
 ///
 /// As the router's BatchSink it commits each scan's reads into the sim the
 /// moment the router reports them — before the next scan's waits are first
-/// read — then advances the shared WaitView to the next scan's arrival.
-/// Together with RouterScratch's per-scan lazy re-init this makes a block
-/// of any size bit-identical to routing the same scans one at a time
-/// (enforced by the batch golden tests). Callers flush before every
+/// read — then advances the shared WaitView to the next scan's attempt
+/// time. Together with RouterScratch's per-scan lazy re-init this makes a
+/// block of any size bit-identical to routing the same scans one at a
+/// time (enforced by the golden digests). Callers flush before every
 /// configuration change, so a routed block never spans epochs.
 class PendingBlock final : public BatchSink {
  public:
@@ -50,22 +58,31 @@ class PendingBlock final : public BatchSink {
 
   /// Routes the block against `index` and hands every admitted query's
   /// finalized record to `commit(const QueryRecord&)` in admission order,
-  /// then empties the block. Routing cannot fail here: the block path only
-  /// runs fault-free, where every candidate span is non-empty
-  /// (ResolveBatchInto CHECKs replica coverage), so a failure is a bug,
-  /// not a condition to retry.
+  /// then empties the block.
+  ///
+  /// `faults` is null when no fault can make a candidate unroutable (the
+  /// fault-free driver, the shards): every candidate span is non-empty
+  /// (ResolveBatchInto CHECKs replica coverage), so a routing failure is
+  /// a bug. Otherwise, while some node is down, each scan routes over
+  /// its candidates routable at its attempt time, and a scan left with
+  /// an empty span (a coverage gap) retries alone with capped
+  /// exponential backoff (RetryBackoffSeconds) — the scans routed before
+  /// it stay committed — until it routes or its query aborts (retries,
+  /// shared budget or timeout exhausted), dropping the query's remaining
+  /// scans.
   template <typename Commit>
-  void Flush(const ConfigIndex& index, ScanRouter* router, Commit&& commit) {
+  void Flush(const ConfigIndex& index, ScanRouter* router, Commit&& commit,
+             const FlushFaults* faults = nullptr) {
     if (pending_.empty()) return;
     if (!block_.empty()) {
       index.ResolveBatchInto(&block_);
-      WaitView waits(sim_->BusyUntil().data(), sim_->node_count(),
-                     scan_arrival_.front());
-      view_ = &waits;
-      const Status status = router->RouteBatchInto(
-          block_, waits, spt_, phi_s_, &scratch_, &routed_, this);
-      view_ = nullptr;
-      NASHDB_CHECK(status.ok()) << status.message();
+      if (faults != nullptr &&
+          faults->liveness->AnyDeadAt(scan_at_.front())) {
+        RouteDegraded(router, *faults);
+      } else {
+        const Status status = RouteScans(router, block_, 0);
+        NASHDB_CHECK(status.ok()) << status.message();
+      }
     }
     for (PendingQuery& pq : pending_) {
       pq.record.completion = pq.completion;
@@ -76,7 +93,7 @@ class PendingBlock final : public BatchSink {
     pending_.clear();
     block_.Clear();
     scan_slot_.clear();
-    scan_arrival_.clear();
+    scan_at_.clear();
   }
 
   void OnScanRouted(std::size_t scan_index, const RoutedRead* reads,
@@ -90,17 +107,49 @@ class PendingBlock final : public BatchSink {
     SimTime completion = 0.0;
   };
 
+  /// Routes `batch`, whose scan k is block scan `begin + k`, each scan at
+  /// its attempt time. On FailedPrecondition the scans before the failing
+  /// one are committed (the routers' partial-commit contract) and
+  /// `next_scan_` names the failing scan.
+  Status RouteScans(ScanRouter* router, const ScanBatch& batch,
+                    std::size_t begin);
+
+  /// Rebuilds `live_` from block scans [begin, end), each scan's
+  /// candidates filtered to the nodes routable at its attempt time, and
+  /// routes it.
+  Status RouteLive(ScanRouter* router, const LivenessOverlay& liveness,
+                   std::size_t begin, std::size_t end);
+
+  /// The degraded route of a resolved block: routes the live block and
+  /// retries each coverage gap until every scan is routed or dropped.
+  void RouteDegraded(ScanRouter* router, const FlushFaults& faults);
+
+  /// Retries block scan `s` alone until it routes or its query aborts;
+  /// returns the next block scan to route.
+  std::size_t RetryScan(ScanRouter* router, const FlushFaults& faults,
+                        std::size_t s);
+
   ClusterSim* const sim_;
   const double spt_;
   const double phi_s_;
   const bool collect_;
   ScanBatch block_;
   std::vector<std::size_t> scan_slot_;  // block scan -> pending slot
-  std::vector<SimTime> scan_arrival_;   // block scan -> arrival time
+  /// Block scan -> attempt time: the arrival, moved forward by retries.
+  std::vector<SimTime> scan_at_;
   std::vector<PendingQuery> pending_;
   RouterScratch scratch_;
   std::vector<RoutedRead> routed_;
-  WaitView* view_ = nullptr;  // set only while a block is being routed
+  /// The block's routable-candidates view while some node is down
+  /// (candidate spans index into `live_cands_`).
+  ScanBatch live_;
+  std::vector<NodeId> live_cands_;
+  // Set only while a batch is being routed: its view, and the block scans
+  // it covers, [route_begin_, route_end_).
+  WaitView* view_ = nullptr;
+  std::size_t route_begin_ = 0;
+  std::size_t route_end_ = 0;
+  std::size_t next_scan_ = 0;  // first block scan not yet routed
 };
 
 }  // namespace nashdb

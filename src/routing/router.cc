@@ -21,13 +21,9 @@ Status NoLiveReplica(FlatFragmentId frag) {
                                     " has no live replica-holding node");
 }
 
-// Largest scan the MaxOfMins batch core handles with stack-local state
-// (a wider scan falls back to the scratch-based rounds below).
-constexpr std::size_t kSmallScanRequests = 16;
-
 // Shared batch loop (DESIGN.md §11): one scratch bind per block, then the
 // router's per-scan core. A core that reads the scratch must open every
-// scan with scratch->NextScan() (the stack-local MaxOfMins fast paths
+// scan with scratch->NextScan() (the scratch-free MaxOfMins fast paths
 // skip the bump entirely). `core(reqs, out)` must append exactly
 // reqs.count reads with
 // scan-relative request indices — the same decisions RouteInto makes, so
@@ -80,11 +76,7 @@ std::size_t SpanOf(const std::vector<RoutedRead>& reads) {
 
 Status ValidateRoutable(const std::vector<FragmentRequest>& requests) {
   for (const FragmentRequest& req : requests) {
-    if (req.candidates.empty()) {
-      return Status::FailedPrecondition(
-          "fragment " + std::to_string(req.frag) +
-          " has no live replica-holding node");
-    }
+    if (req.candidates.empty()) return NoLiveReplica(req.frag);
   }
   return Status::OK();
 }
@@ -92,11 +84,7 @@ Status ValidateRoutable(const std::vector<FragmentRequest>& requests) {
 Status ValidateRoutable(const RequestBatch& requests) {
   for (std::size_t i = 0; i < requests.count; ++i) {
     const FlatRequest& req = requests.requests[i];
-    if (req.cand_count == 0) {
-      return Status::FailedPrecondition(
-          "fragment " + std::to_string(req.frag) +
-          " has no live replica-holding node");
-    }
+    if (req.cand_count == 0) return NoLiveReplica(req.frag);
   }
   return Status::OK();
 }
@@ -302,99 +290,8 @@ NASHDB_HOT Status MaxOfMinsBatchCore(const RequestBatch& requests,
     return Status::OK();
   }
 
-  if (requests.count <= kSmallScanRequests) {
-    // Mid-size scans (3..16 requests): the full max-of-mins rounds with
-    // every piece of mutable state on the stack instead of in the
-    // epoch-stamped scratch. Two observations keep this bit-identical to
-    // the scratch-based loop below:
-    //
-    //  - The only nodes whose adjusted wait differs from `view + phi`
-    //    are the ones this scan has already scheduled — at most one new
-    //    node per round — so a tiny array of (node, advanced wait)
-    //    searched linearly replaces the per-candidate epoch-checked
-    //    Touch. An advanced entry carries the same lazy-init + `+=`
-    //    accumulated sum the scratch would hold, and reading it directly
-    //    matches the generic `wait + 0.0` of a used node bitwise for the
-    //    non-negative waits the sim produces.
-    //  - A request's (min, argmin) can only change when the node just
-    //    scheduled sits in its candidate span (only that node's wait or
-    //    used flag moved), so each round recomputes exactly the affected
-    //    requests and reuses the cached minima — bit for bit the values
-    //    a full recompute would produce — for the rest.
-    const std::size_t n = requests.count;
-    double req_min[kSmallScanRequests];
-    NodeId req_node[kSmallScanRequests];
-    NodeId adv_node[kSmallScanRequests];
-    double adv_wait[kSmallScanRequests];
-    std::size_t adv_n = 0;
-    const auto eval = [&](const FlatRequest& req, double* min_wait,
-                          NodeId* min_node) {
-      double mw = std::numeric_limits<double>::infinity();
-      NodeId mn = kInvalidNode;
-      const NodeId* cand = requests.cands(req);
-      for (std::uint32_t k = 0; k < req.cand_count; ++k) {
-        const NodeId m = cand[k];
-        std::size_t j = 0;
-        while (j < adv_n && adv_node[j] != m) ++j;
-        const double w = j < adv_n ? adv_wait[j] : waits.At(m) + phi_s;
-        if (w < mw) {
-          mw = w;
-          mn = m;
-        }
-      }
-      *min_wait = mw;
-      *min_node = mn;
-    };
-    for (std::size_t i = 0; i < n; ++i) {
-      eval(requests.requests[i], &req_min[i], &req_node[i]);
-    }
-    std::uint32_t pending = (std::uint32_t{1} << n) - 1;
-    for (std::size_t round = 0; round < n; ++round) {
-      double best_min = -1.0;
-      std::size_t best_req = n;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!(pending >> i & 1u)) continue;
-        if (req_min[i] > best_min) {
-          best_min = req_min[i];
-          best_req = i;
-        }
-      }
-      const NodeId bn = req_node[best_req];
-      if (bn == kInvalidNode) {
-        // An empty candidate span's infinite minimum wins round one, so
-        // this fires before any read of the scan was appended.
-        return NoLiveReplica(requests.requests[best_req].frag);
-      }
-      pending &= ~(std::uint32_t{1} << best_req);
-      const double delta =
-          static_cast<double>(requests.requests[best_req].tuples) *
-          read_seconds_per_tuple;
-      std::size_t j = 0;
-      while (j < adv_n && adv_node[j] != bn) ++j;
-      if (j == adv_n) {
-        adv_node[j] = bn;
-        adv_wait[j] = waits.At(bn) + delta;
-        ++adv_n;
-      } else {
-        adv_wait[j] += delta;
-      }
-      // NASHDB_LINT_ALLOW(hot-alloc): append into caller-reserved capacity
-      out->push_back(RoutedRead{best_req, bn});
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!(pending >> i & 1u)) continue;
-        const FlatRequest& req = requests.requests[i];
-        const NodeId* cand = requests.cands(req);
-        for (std::uint32_t k = 0; k < req.cand_count; ++k) {
-          if (cand[k] == bn) {
-            eval(req, &req_min[i], &req_node[i]);
-            break;
-          }
-        }
-      }
-    }
-    return Status::OK();
-  }
-
+  // Three or more requests: the scratch-based rounds, whose O(1)
+  // epoch-stamped node lookups stay cheap on wide candidate spans.
   scratch->NextScan();
   // NASHDB_LINT_ALLOW(hot-alloc): scratch flags reuse capacity across scans
   scratch->scheduled.assign(requests.count, 0);

@@ -31,12 +31,13 @@ struct RoutedRead {
 };
 
 // ---------------------------------------------------------------------------
-// Allocation-free hot path (steady-state query path, DESIGN.md §10). The
-// driver resolves each scan into flat request records whose candidate lists
-// are spans into a shared NodeId pool, evaluates per-node waits lazily
-// through a WaitView over the sim's incrementally-maintained busy-until
-// array, and routes through RouteInto with a reusable RouterScratch — no
-// per-scan vector allocations and no work proportional to the cluster size.
+// Allocation-free hot path (steady-state query path, DESIGN.md §10–§11).
+// The driver resolves blocks of scans into flat request records whose
+// candidate lists are spans into a shared NodeId pool, evaluates per-node
+// waits lazily through a WaitView over the sim's incrementally-maintained
+// busy-until array, and routes through RouteBatchInto with a reusable
+// RouterScratch — no per-scan vector allocations and no work proportional
+// to the cluster size.
 // ---------------------------------------------------------------------------
 
 /// Flat form of one FragmentRequest: candidates are `cand_count` entries
@@ -78,7 +79,7 @@ class WaitView {
   std::size_t node_count() const { return node_count_; }
 
   /// Moves the scheduling time (batched routing: a BatchSink advances the
-  /// view to the next scan's arrival between scans; RouterScratch's lazy
+  /// view to the next scan's attempt time between scans; RouterScratch's lazy
   /// first-touch init re-reads the view each scan, so the new time is
   /// observed exactly as if a fresh view had been built per scan).
   NASHDB_HOT void set_at(SimTime at) { at_ = at; }
@@ -230,7 +231,7 @@ class ScanRouter {
   ///
   /// This is the seed (reference) implementation, kept as the routing
   /// oracle for the equivalence suite and the before/after benchmark; the
-  /// driver's steady-state path uses RouteInto.
+  /// driver routes every scan through RouteBatchInto.
   virtual Result<std::vector<RoutedRead>> Route(
       const std::vector<FragmentRequest>& requests, std::vector<double> waits,
       double read_seconds_per_tuple, double phi_s) = 0;
@@ -240,7 +241,9 @@ class ScanRouter {
   /// suite enforces this) — resolved into the caller-owned `*out` (cleared
   /// first; capacity is reused) using `*scratch` for working state.
   /// Returns FailedPrecondition if any request has an empty candidate
-  /// span.
+  /// span. Kept as the single-scan oracle RouteBatchInto is checked
+  /// against (batch equivalence suite) and for the benchmarks' scalar
+  /// kernels; the driver does not call it.
   virtual Status RouteInto(const RequestBatch& requests,
                            const WaitView& waits,
                            double read_seconds_per_tuple, double phi_s,
@@ -259,8 +262,9 @@ class ScanRouter {
   /// On a scan with an empty candidate span, returns FailedPrecondition
   /// with a partial-commit guarantee: every scan before the failing one is
   /// fully routed and reported to the sink; the failing scan and all later
-  /// scans are untouched. The caller resumes per-scan from the first
-  /// unreported scan (the driver's retry path does exactly this).
+  /// scans are untouched. The caller resumes from the first unreported
+  /// scan (the driver's retry path retries it alone as a one-scan batch,
+  /// then routes the rest as a new batch).
   virtual Status RouteBatchInto(const ScanBatch& batch, const WaitView& waits,
                                 double read_seconds_per_tuple, double phi_s,
                                 RouterScratch* scratch,

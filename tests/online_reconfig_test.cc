@@ -22,11 +22,7 @@
 //    whose boundary's transition was skipped is deferred to the next
 //    applied transition, not dropped.
 
-#include <bit>
-#include <cinttypes>
 #include <cstddef>
-#include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <iostream>
@@ -38,12 +34,20 @@
 #include "common/metrics.h"
 #include "engine/driver.h"
 #include "engine/nashdb_system.h"
+#include "golden_digest.h"
 #include "routing/router.h"
 #include "workload/synthetic.h"
 
 namespace nashdb {
 namespace {
 
+using golden::LoadedSystemOptions;
+using golden::LoadedWorkload;
+using golden::RunDigest;
+
+// Sparse arrivals and cheap queries keep this cluster at one node, where
+// every router makes the same (only) choice; LoadedWorkload rents 8–20
+// nodes and queues, so the four routers' record streams differ there.
 Workload GoldenWorkload() {
   BernoulliOptions wopts;
   wopts.db_gb = 3.0;
@@ -69,28 +73,6 @@ NashDbOptions GoldenSystemOptions() {
   opts.window_scans = 30;
   opts.block_tuples = 100000;
   opts.node_disk = 2000000;
-  return opts;
-}
-
-// GoldenWorkload's sparse arrivals and cheap queries keep the cluster at
-// one node, where every router makes the same (only) choice. The loaded
-// variant prices queries high enough to rent 8–20 nodes and packs
-// arrivals densely enough to queue, so the four routers' record streams
-// genuinely differ.
-Workload LoadedWorkload() {
-  BernoulliOptions wopts;
-  wopts.db_gb = 10.0;
-  wopts.num_queries = 600;
-  wopts.price = 0.5;
-  wopts.arrival_span_s = 4.0 * 3600.0;
-  return MakeBernoulliWorkload(wopts);
-}
-
-NashDbOptions LoadedSystemOptions() {
-  NashDbOptions opts;
-  opts.window_scans = 30;
-  opts.block_tuples = 20000;
-  opts.node_disk = 300000;
   return opts;
 }
 
@@ -132,64 +114,8 @@ void ExpectBitIdentical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.emergency_repairs, b.emergency_repairs);
 }
 
-/// FNV-1a over the bit patterns of every field ExpectBitIdentical
-/// compares (plus the remaining RunResult totals), so one 64-bit constant
-/// pins a whole run down to the last double bit.
-class Digest {
- public:
-  void Add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xffu;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void Add(double v) { Add(std::bit_cast<std::uint64_t>(v)); }
-  std::string Hex() const {
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, h_);
-    return buf;
-  }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
-std::string RunDigest(const RunResult& r) {
-  Digest d;
-  for (const QueryRecord& q : r.records) {
-    d.Add(static_cast<std::uint64_t>(q.id));
-    d.Add(q.price);
-    d.Add(q.arrival);
-    d.Add(q.completion);
-    d.Add(q.latency_s);
-    d.Add(static_cast<std::uint64_t>(q.span));
-    d.Add(static_cast<std::uint64_t>(q.tuples_read));
-    d.Add(static_cast<std::uint64_t>(q.retries));
-    d.Add(q.epoch);
-    d.Add(static_cast<std::uint64_t>(q.aborted));
-    d.Add(static_cast<std::uint64_t>(q.shed));
-  }
-  for (const std::size_t v :
-       {r.total_queries, r.transitions, r.transitions_skipped, r.final_nodes,
-        r.crashes, r.partitions, r.aborted_queries, r.scan_retries,
-        r.shed_queries, r.emergency_repairs}) {
-    d.Add(static_cast<std::uint64_t>(v));
-  }
-  for (const TupleCount v :
-       {r.transferred_tuples, r.bootstrap_transfer_tuples, r.read_tuples,
-        r.repair_transfer_tuples}) {
-    d.Add(static_cast<std::uint64_t>(v));
-  }
-  for (const double v : {r.total_cost, r.makespan_s, r.completed_latency_sum_s,
-                         r.completed_span_sum}) {
-    d.Add(v);
-  }
-  return d.Hex();
-}
-
-// Same scenario as the query-path golden tests: scripted crashes (one with
-// a scheduled recovery, one permanent) plus a stochastic crash/repair
-// process and emergency re-replication.
+// Scripted crashes (one with a scheduled recovery, one permanent) plus a
+// stochastic crash/repair process and emergency re-replication.
 constexpr char kFaults[] =
     "crash@1800:n0:for=900;crash@5400:n1;mttf=7200;mttr=1800";
 
@@ -262,8 +188,8 @@ TEST(OnlineReconfigGoldenTest, PowerOfTwoUnderFaults) {
                 kFaults, kPowerOfTwoUnderFaults);
 }
 
-// The scalar per-scan path (route_batch_size = 1) goes through the same
-// round as the batched path.
+// One-query blocks (route_batch_size = 1; the scalar per-scan path when
+// this digest was recorded) reproduce the default block size's stream.
 TEST(OnlineReconfigGoldenTest, ScalarPathFaultFree) {
   DriverOptions dopts = BaseOptions("");
   dopts.route_batch_size = 1;
@@ -350,12 +276,15 @@ TEST(OnlineReconfigWindowTest, OccupiedWindowUnderFaultsIsDeterministic) {
 // failed to hide.
 TEST(OnlineReconfigStallTest, OnlineStallsLessThanStopTheWorld) {
   BernoulliOptions wopts;
-  wopts.db_gb = 40.0;
+  wopts.db_gb = 10.0;
   // Dense arrivals: the build window must contain enough routing
   // wall-clock to actually hide the build (simulated seconds are free;
   // only admitted work burns real time while the background build runs).
-  wopts.num_queries = 8000;
-  wopts.arrival_span_s = 4.0 * 3600.0;
+  // The span holds exactly one round — kicked at 1800 s, published at
+  // 2700 s with 360 queries routed inside the window — so no build is
+  // still in flight when the workload ends.
+  wopts.num_queries = 1200;
+  wopts.arrival_span_s = 3000.0;
   const Workload workload = MakeBernoulliWorkload(wopts);
   // Fine-grained fragments and a deep estimator window make the build
   // genuinely expensive — the stall comparison is meaningless when the
@@ -374,7 +303,7 @@ TEST(OnlineReconfigStallTest, OnlineStallsLessThanStopTheWorld) {
     // without it the first window routes against a near-empty estimator's
     // trivial config (almost no wall-clock to hide the most expensive
     // build of the run behind).
-    dopts.prewarm_scans = 2000;
+    dopts.prewarm_scans = 1000;
     dopts.online_build_window_s = window_s;
     return RunWorkload(workload, &sys, router.get(), dopts);
   };

@@ -73,8 +73,10 @@ void PrintHelp() {
       "\n"
       "Data plane (DESIGN.md 11):\n"
       "  --batch=N          scans per routed block (RouteBatchInto block\n"
-      "                     size; default 64, 1 = per-scan routing;\n"
-      "                     never changes results, only throughput)\n"
+      "                     size; default 64, 1 = one-query blocks;\n"
+      "                     fault and overload runs always route\n"
+      "                     one-query blocks; never changes results,\n"
+      "                     only throughput)\n"
       "  --shards=N         per-core driver shards, each consuming from a\n"
       "                     lock-free SPSC ring and routing against one\n"
       "                     shared configuration epoch. Default 1 = the\n"
