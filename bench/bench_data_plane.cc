@@ -9,25 +9,20 @@
 // The workload is 16 tables with the paper's skew (most scans read a
 // small hot range, a minority sweep many fragments), one shared immutable
 // ConfigIndex, MaxOfMins routing. Before any timing, every sweep point
-// verifies route identity: the batched pipeline (fixed blocks, fresh
-// sims) must schedule every read of every shard partition onto exactly
-// the node the per-scan RouteInto path picks, and leave bit-identical
-// busy-until state. Timing then measures the threaded pipeline with two
-// clock reads around the whole run (aggregate scans/s); per-shard
-// p50/p99 ns/scan come from a separate single-threaded per-block-timed
-// sampling pass so no timer overhead pollutes the throughput numbers.
+// verifies route identity: blocks of the point's batch size (fresh sims)
+// must schedule every read of every shard partition onto exactly the node
+// one-scan blocks pick, and leave bit-identical busy-until state. Timing
+// then measures the threaded pipeline with two clock reads around the
+// whole run (aggregate scans/s); per-shard p50/p99 ns/scan come from a
+// separate single-threaded per-block-timed sampling pass so no timer
+// overhead pollutes the throughput numbers.
 //
-// Batch size 1 is the scalar baseline: the shard consumer pops one scan
-// per ring transaction and routes it through the per-scan scalar kernel —
-// RequestsForInto + WaitView + RouteInto + per-read enqueue. (The driver
-// itself routes every query through a block; route_batch_size = 1 there
-// means one-query blocks.) Batch > 1
-// engages the batched kernel: bulk ring drains, block-level SoA resolve
-// with O(1) table-span lookup, RouteBatchInto's specialized cores. The
+// Batch size 1 is the baseline: one-scan blocks through the same
+// pipeline — what route_batch_size = 1 means in the driver. Larger
+// batches amortize the block's fixed costs (ring traffic, resolve setup,
+// scratch bind, out reservation, virtual dispatch) over more scans. The
 // headline comparison is 4 shards/batch 256 against the 1-shard/batch-1
-// baseline; on the 1-core target container the win is the cheaper
-// batched kernel and block amortization, not parallelism. Writes
-// BENCH_data_plane.json for the CI artifact.
+// baseline. Writes BENCH_data_plane.json for the CI artifact.
 //
 // Flags: --smoke (tiny scan count for CI), --out=PATH (JSON path,
 // default BENCH_data_plane.json).
@@ -163,36 +158,10 @@ struct ShardLane {
   MaxOfMinsRouter router;
   EnqueueSink sink;
   ScanBatch block;
-  ScanScratch scan_scratch;  // batch-1 scalar kernel
   RouterScratch scratch;
   std::vector<RoutedRead> out;
   std::uint64_t scans_routed = 0;
 };
-
-/// The per-scan scalar kernel, exactly as the serial driver runs it when
-/// the batched path is disabled: resolve into the reusable scratch, view
-/// the live busy-until array, RouteInto, enqueue each read.
-void RouteScalar(const ConfigIndex& index, const Scan& scan, double spt,
-                 ShardLane* lane) {
-  index.RequestsForInto(scan, &lane->scan_scratch);
-  ++lane->scans_routed;
-  if (lane->scan_scratch.requests.empty()) return;
-  const WaitView waits(lane->sim.BusyUntil().data(), lane->sim.node_count(),
-                       /*at=*/0.0);
-  const Status st =
-      lane->router.RouteInto(lane->scan_scratch.Batch(), waits, spt, kPhi,
-                             &lane->scratch, &lane->out);
-  if (!st.ok()) {
-    std::fprintf(stderr, "RouteInto failed: %s\n",
-                 std::string(st.message()).c_str());
-    std::exit(1);
-  }
-  for (const RoutedRead& r : lane->out) {
-    (void)lane->sim.EnqueueRead(
-        r.node, lane->scan_scratch.requests[r.request_index].tuples,
-        /*now=*/0.0, /*first_use_by_query=*/true);
-  }
-}
 
 void FlushBlock(const ConfigIndex& index, double spt, ShardLane* lane) {
   if (lane->block.empty()) return;
@@ -212,14 +181,13 @@ void FlushBlock(const ConfigIndex& index, double spt, ShardLane* lane) {
   lane->block.Clear();
 }
 
-/// Shard consumer, batched (batch_cap > 1): bulk-drains the ring,
-/// accumulates the block, flushes when full; after the producer's done
-/// flag, one more drain settles the question (done is released after the
-/// last push) and the tail block is flushed.
-void ShardLoopBatched(SpscQueue<std::uint32_t>* ring,
-                      const std::atomic<bool>* done, const ConfigIndex& index,
-                      const std::vector<Scan>& scans, std::size_t batch_cap,
-                      double spt, ShardLane* lane) {
+/// Shard consumer: bulk-drains the ring, accumulates the block, flushes
+/// when it holds `batch_cap` scans; after the producer's done flag, one
+/// more drain settles the question (done is released after the last push)
+/// and the tail block is flushed.
+void ShardLoop(SpscQueue<std::uint32_t>* ring, const std::atomic<bool>* done,
+               const ConfigIndex& index, const std::vector<Scan>& scans,
+               std::size_t batch_cap, double spt, ShardLane* lane) {
   std::uint32_t buf[kPopChunk];
   for (;;) {
     std::size_t n = ring->TryPopBulk(buf, kPopChunk);
@@ -242,120 +210,48 @@ void ShardLoopBatched(SpscQueue<std::uint32_t>* ring,
   }
 }
 
-/// Shard consumer, per-scan (batch_cap == 1): one scan per ring
-/// transaction through the scalar kernel — the data plane exactly as it
-/// behaves with the batched path disabled.
-void ShardLoopScalar(SpscQueue<std::uint32_t>* ring,
-                     const std::atomic<bool>* done, const ConfigIndex& index,
-                     const std::vector<Scan>& scans, double spt,
-                     ShardLane* lane) {
-  std::uint32_t id = 0;
-  for (;;) {
-    if (!ring->TryPop(&id)) {
-      if (done->load(std::memory_order_acquire)) {
-        if (!ring->TryPop(&id)) return;
-      } else {
-        std::this_thread::yield();
-        continue;
-      }
-    }
-    RouteScalar(index, scans[id], spt, lane);
-  }
-}
-
-void ShardLoop(SpscQueue<std::uint32_t>* ring, const std::atomic<bool>* done,
-               const ConfigIndex& index, const std::vector<Scan>& scans,
-               std::size_t batch_cap, double spt, ShardLane* lane) {
-  if (batch_cap <= 1) {
-    ShardLoopScalar(ring, done, index, scans, spt, lane);
-  } else {
-    ShardLoopBatched(ring, done, index, scans, batch_cap, spt, lane);
-  }
-}
-
 // ------------------------------------------------------ identity check
 
-/// Routes one shard partition per-scan through RouteInto (the PR 5
-/// scalar flat path) and batched through fixed blocks of `batch_cap`,
-/// both from fresh sims, and requires identical read streams and
-/// bit-identical final busy-until state. Guards the bench itself: both
-/// pipelines must measure the same computation.
+/// Routes one shard partition through `*lane` (fresh) in fixed blocks of
+/// `block_size` scans; returns every read's node in routing order and
+/// leaves the sim's final state in the lane.
+std::vector<NodeId> RouteFixedBlocks(
+    const ConfigIndex& index, const std::vector<Scan>& scans,
+    const std::vector<std::uint32_t>& partition, std::size_t block_size,
+    double spt, ShardLane* lane) {
+  std::vector<NodeId> nodes;
+  const auto flush = [&] {
+    if (lane->block.empty()) return;
+    FlushBlock(index, spt, lane);
+    for (const RoutedRead& r : lane->out) nodes.push_back(r.node);
+  };
+  for (const std::uint32_t id : partition) {
+    lane->block.AddScan(id, scans[id]);
+    if (lane->block.size() >= block_size) flush();
+  }
+  flush();
+  return nodes;
+}
+
+/// Routes one shard partition as one-scan blocks and as fixed blocks of
+/// `batch_cap`, both from fresh sims, and requires identical read streams
+/// and bit-identical final busy-until state. Guards the bench itself:
+/// every batch size must measure the same computation.
 void VerifyIdentity(const ClusterConfig& config, const ConfigIndex& index,
                     const std::vector<Scan>& scans,
                     const std::vector<std::uint32_t>& partition,
                     std::size_t batch_cap, double spt) {
-  // Scalar reference.
-  ClusterSim ref_sim((ClusterSimOptions()));
-  ref_sim.ApplyConfig(config, 0.0, nullptr);
-  MaxOfMinsRouter ref_router;
-  ScanScratch scan_scratch;
-  RouterScratch router_scratch;
-  std::vector<RoutedRead> ref_out;
-  std::vector<NodeId> ref_nodes;
-  for (const std::uint32_t id : partition) {
-    index.RequestsForInto(scans[id], &scan_scratch);
-    if (scan_scratch.requests.empty()) continue;
-    const WaitView waits(ref_sim.BusyUntil().data(), ref_sim.node_count(),
-                         0.0);
-    const Status st =
-        ref_router.RouteInto(scan_scratch.Batch(), waits, spt, kPhi,
-                             &router_scratch, &ref_out);
-    if (!st.ok()) {
-      std::fprintf(stderr, "identity: RouteInto failed\n");
-      std::exit(1);
-    }
-    for (const RoutedRead& r : ref_out) {
-      ref_nodes.push_back(r.node);
-      (void)ref_sim.EnqueueRead(
-          r.node, scan_scratch.requests[r.request_index].tuples, 0.0, true);
-    }
-  }
-
-  // Batched pipeline, deterministic fixed blocks.
+  ShardLane ref(config);
+  const std::vector<NodeId> ref_nodes =
+      RouteFixedBlocks(index, scans, partition, 1, spt, &ref);
   ShardLane lane(config);
-  std::vector<NodeId> got_nodes;
-  class CollectSink : public BatchSink {
-   public:
-    CollectSink(ClusterSim* sim, std::vector<NodeId>* nodes)
-        : inner_(sim), nodes_(nodes) {}
-    void Bind(const ScanBatch* block) { block_ = block; inner_.Bind(block); }
-    void OnScanRouted(std::size_t scan_index, const RoutedRead* reads,
-                      std::size_t count) override {
-      for (std::size_t k = 0; k < count; ++k) nodes_->push_back(reads[k].node);
-      inner_.OnScanRouted(scan_index, reads, count);
-    }
-   private:
-    EnqueueSink inner_;
-    std::vector<NodeId>* nodes_;
-    const ScanBatch* block_ = nullptr;
-  };
-  CollectSink sink(&lane.sim, &got_nodes);
-  const auto flush = [&] {
-    if (lane.block.empty()) return;
-    index.ResolveBatchInto(&lane.block);
-    const WaitView waits(lane.sim.BusyUntil().data(), lane.sim.node_count(),
-                         0.0);
-    sink.Bind(&lane.block);
-    const Status st =
-        lane.router.RouteBatchInto(lane.block, waits, spt, kPhi,
-                                   &lane.scratch, &lane.out, &sink);
-    if (!st.ok()) {
-      std::fprintf(stderr, "identity: RouteBatchInto failed\n");
-      std::exit(1);
-    }
-    lane.block.Clear();
-  };
-  for (const std::uint32_t id : partition) {
-    lane.block.AddScan(id, scans[id]);
-    if (lane.block.size() >= batch_cap) flush();
-  }
-  flush();
-
+  const std::vector<NodeId> got_nodes =
+      RouteFixedBlocks(index, scans, partition, batch_cap, spt, &lane);
   if (got_nodes != ref_nodes) {
     std::fprintf(stderr, "route identity violated (read streams differ)\n");
     std::exit(1);
   }
-  if (lane.sim.BusyUntil() != ref_sim.BusyUntil()) {
+  if (lane.sim.BusyUntil() != ref.sim.BusyUntil()) {
     std::fprintf(stderr, "route identity violated (busy-until differs)\n");
     std::exit(1);
   }
@@ -401,12 +297,8 @@ PointResult MeasurePoint(const ClusterConfig& config, const ConfigIndex& index,
     const std::size_t warm = std::min<std::size_t>(part.size(), 4096);
     ShardLane* lane = lanes[s].get();
     for (std::size_t i = 0; i < warm; ++i) {
-      if (batch_cap <= 1) {
-        RouteScalar(index, scans[part[i]], spt, lane);
-      } else {
-        lane->block.AddScan(part[i], scans[part[i]]);
-        if (lane->block.size() >= batch_cap) FlushBlock(index, spt, lane);
-      }
+      lane->block.AddScan(part[i], scans[part[i]]);
+      if (lane->block.size() >= batch_cap) FlushBlock(index, spt, lane);
     }
     FlushBlock(index, spt, lane);
     lane->scans_routed = 0;
@@ -431,41 +323,31 @@ PointResult MeasurePoint(const ClusterConfig& config, const ConfigIndex& index,
                            std::cref(scans), batch_cap, spt, lanes[s].get());
     }
     const auto t0 = Clock::now();
-    if (batch_cap <= 1) {
-      // Per-scan admission, matching the per-scan plane downstream.
-      for (std::size_t i = 0; i < scans.size(); ++i) {
-        SpscQueue<std::uint32_t>* ring = rings[shard_of[i]].get();
-        while (!ring->TryPush(static_cast<std::uint32_t>(i))) {
-          std::this_thread::yield();
-        }
+    // Admission: the `--batch` knob configures the plane end to end, so
+    // the producer stages ids per shard and hands each chunk (of at most
+    // the batch size) to the ring with one bulk push. Staging preserves
+    // per-shard FIFO order — ids enter a shard's buffer in global order
+    // and flush in order — so the routed streams are untouched.
+    const std::size_t chunk = std::min<std::size_t>(batch_cap, 64);
+    std::vector<std::vector<std::uint32_t>> staging(shards);
+    for (auto& st : staging) st.reserve(chunk);
+    const auto flush_shard = [&](std::size_t s) {
+      const std::vector<std::uint32_t>& st = staging[s];
+      std::size_t pushed = 0;
+      while (pushed < st.size()) {
+        const std::size_t n =
+            rings[s]->TryPushBulk(st.data() + pushed, st.size() - pushed);
+        if (n == 0) std::this_thread::yield();
+        pushed += n;
       }
-    } else {
-      // Batched admission: the `--batch` knob configures the plane end to
-      // end, so the producer stages ids per shard and hands each chunk to
-      // the ring with one bulk push. Staging preserves per-shard FIFO
-      // order — ids enter a shard's buffer in global order and flush in
-      // order — so the routed streams are untouched.
-      const std::size_t chunk = std::min<std::size_t>(batch_cap, 64);
-      std::vector<std::vector<std::uint32_t>> staging(shards);
-      for (auto& st : staging) st.reserve(chunk);
-      const auto flush_shard = [&](std::size_t s) {
-        const std::vector<std::uint32_t>& st = staging[s];
-        std::size_t pushed = 0;
-        while (pushed < st.size()) {
-          const std::size_t n =
-              rings[s]->TryPushBulk(st.data() + pushed, st.size() - pushed);
-          if (n == 0) std::this_thread::yield();
-          pushed += n;
-        }
-        staging[s].clear();
-      };
-      for (std::size_t i = 0; i < scans.size(); ++i) {
-        const std::size_t s = shard_of[i];
-        staging[s].push_back(static_cast<std::uint32_t>(i));
-        if (staging[s].size() >= chunk) flush_shard(s);
-      }
-      for (std::size_t s = 0; s < shards; ++s) flush_shard(s);
+      staging[s].clear();
+    };
+    for (std::size_t i = 0; i < scans.size(); ++i) {
+      const std::size_t s = shard_of[i];
+      staging[s].push_back(static_cast<std::uint32_t>(i));
+      if (staging[s].size() >= chunk) flush_shard(s);
     }
+    for (std::size_t s = 0; s < shards; ++s) flush_shard(s);
     done.store(true, std::memory_order_release);
     for (std::thread& t : threads) t.join();
     const auto t1 = Clock::now();
@@ -505,14 +387,6 @@ PointResult MeasurePoint(const ClusterConfig& config, const ConfigIndex& index,
             static_cast<double>(n));
       };
       for (const std::uint32_t id : part) {
-        if (batch_cap <= 1) {
-          const auto b0 = Clock::now();
-          RouteScalar(index, scans[id], spt, &lane);
-          const auto b1 = Clock::now();
-          samples_ns.push_back(
-              std::chrono::duration<double, std::nano>(b1 - b0).count());
-          continue;
-        }
         lane.block.AddScan(id, scans[id]);
         if (lane.block.size() >= batch_cap) flush_timed();
       }

@@ -89,48 +89,6 @@ ConfigIndex::ConfigIndex(const ClusterConfig& config, std::uint64_t epoch)
   }
 }
 
-const ConfigIndex::TableSpan& ConfigIndex::SpanFor(TableId table) const {
-  const auto it = std::lower_bound(
-      tables_.begin(), tables_.end(), table,
-      [](const TableSpan& s, TableId t) { return s.table < t; });
-  NASHDB_CHECK(it != tables_.end() && it->table == table)
-      << "scan over unknown table " << table;
-  return *it;
-}
-
-NASHDB_HOT void ConfigIndex::AppendRequests(
-    TableId table, TupleIndex start, TupleIndex end,
-    std::vector<FlatRequest>* out) const {
-  const TableSpan& span = SpanFor(table);
-  const Entry* first = entries_.data() + span.begin;
-  const Entry* last = entries_.data() + span.end;
-
-  // First fragment whose end is beyond the scan start.
-  const Entry* e = std::lower_bound(
-      first, last, start,
-      [](const Entry& entry, TupleIndex v) { return entry.end <= v; });
-  for (; e != last && e->start < end; ++e) {
-    NASHDB_CHECK(e->cand_count > 0)
-        << "fragment " << e->frag << " has no replicas";
-    FlatRequest req;
-    req.frag = e->frag;
-    req.tuples = e->tuples;
-    req.cand_begin = e->cand_begin;
-    req.cand_count = e->cand_count;
-    // NASHDB_LINT_ALLOW(hot-alloc): append into scratch-reused capacity
-    out->push_back(req);
-  }
-}
-
-NASHDB_HOT void ConfigIndex::RequestsForInto(const Scan& scan,
-                                             ScanScratch* scratch) const {
-  scratch->Clear();
-  if (scan.range.empty()) return;
-  AppendRequests(scan.table, scan.range.start, scan.range.end,
-                 &scratch->requests);
-  scratch->cand_pool = cand_pool_.data();
-}
-
 NASHDB_HOT void ConfigIndex::ResolveBatchInto(ScanBatch* batch) const {
   const std::size_t n = batch->size();
   batch->req_off.clear();
@@ -139,8 +97,8 @@ NASHDB_HOT void ConfigIndex::ResolveBatchInto(ScanBatch* batch) const {
   batch->req_off.reserve(n + 1);
   // NASHDB_LINT_ALLOW(hot-alloc): offsets reuse the batch's capacity
   batch->req_off.push_back(0);
-  // Tight SoA streaming loop: dense O(1) table-span lookup, then the same
-  // lower_bound + overlap walk as AppendRequests, inlined so the block
+  // Tight SoA streaming loop: dense O(1) table-span lookup, bucket lookup
+  // of the first overlapped fragment, then the overlap walk — the block
   // pass touches only the parallel scan arrays and the entry table.
   const TupleIndex* starts = batch->starts.data();
   const TupleIndex* ends = batch->ends.data();
@@ -158,8 +116,7 @@ NASHDB_HOT void ConfigIndex::ResolveBatchInto(ScanBatch* batch) const {
       const Entry* last = entries_.data() + span.end;
       // Bucket lookup: the bucket holding `start` points at the first
       // entry whose end reaches past the bucket's start; at most a few
-      // forward steps land on the first entry overlapping the scan —
-      // the same entry AppendRequests' binary search finds.
+      // forward steps land on the first entry overlapping the scan.
       std::uint64_t b =
           start >= span.base ? (start - span.base) >> span.bucket_shift : 0;
       if (b >= span.bucket_count) b = span.bucket_count - 1;
@@ -184,24 +141,16 @@ NASHDB_HOT void ConfigIndex::ResolveBatchInto(ScanBatch* batch) const {
 }
 
 std::vector<FragmentRequest> ConfigIndex::RequestsFor(const Scan& scan) const {
-  std::vector<FragmentRequest> requests;
-  if (scan.range.empty()) return requests;
-  const TableSpan& span = SpanFor(scan.table);
-  const Entry* first = entries_.data() + span.begin;
-  const Entry* last = entries_.data() + span.end;
-
-  const Entry* e = std::lower_bound(
-      first, last, scan.range.start,
-      [](const Entry& entry, TupleIndex v) { return entry.end <= v; });
-  for (; e != last && e->start < scan.range.end; ++e) {
-    NASHDB_CHECK(e->cand_count > 0)
-        << "fragment " << e->frag << " has no replicas";
-    FragmentRequest req;
-    req.frag = e->frag;
-    req.tuples = e->tuples;
-    req.candidates.assign(cand_pool_.begin() + e->cand_begin,
-                          cand_pool_.begin() + e->cand_begin + e->cand_count);
-    requests.push_back(std::move(req));
+  ScanBatch block;
+  block.AddScan(0, scan);
+  ResolveBatchInto(&block);
+  const RequestBatch reqs = block.ScanRequests(0);
+  std::vector<FragmentRequest> requests(reqs.count);
+  for (std::size_t i = 0; i < reqs.count; ++i) {
+    const FlatRequest& r = reqs.requests[i];
+    requests[i].frag = r.frag;
+    requests[i].tuples = r.tuples;
+    requests[i].candidates.assign(reqs.cands(r), reqs.cands(r) + r.cand_count);
   }
   return requests;
 }

@@ -11,32 +11,14 @@
 
 namespace nashdb {
 
-/// Caller-owned reusable buffer for the allocation-free scalar resolve
-/// (ConfigIndex::RequestsForInto, DESIGN.md §10): one scan's requests,
-/// their candidate spans pointing into the resolving index's pool. It
-/// grows to the largest scan it has seen and keeps its capacity across
-/// scans, so the steady state allocates nothing.
-struct ScanScratch {
-  std::vector<FlatRequest> requests;
-  const NodeId* cand_pool = nullptr;
-
-  void Clear() {
-    requests.clear();
-    cand_pool = nullptr;
-  }
-
-  RequestBatch Batch() const {
-    return RequestBatch{requests.data(), requests.size(), cand_pool};
-  }
-};
-
 /// Lookup structure over one ClusterConfig: maps a range scan to the
 /// fragment read requests it induces (the scan router's F(s) with
 /// candidate nodes E(s) — §8). Built once per configuration as flat
 /// contiguous storage: one entry record per fragment, grouped per table
 /// and sorted by range start, with each entry's candidate nodes a span
-/// into a single flat NodeId pool. Scans resolve in
-/// O(log F + |F(s)|) with no allocation (RequestsForInto).
+/// into a single flat NodeId pool. Scans resolve a block at a time
+/// (ResolveBatchInto) in O(1) + O(|F(s)|) each, with no allocation once
+/// the block has grown to its steady-state size.
 ///
 /// Epoch contract (DESIGN.md §12): an index may carry the epoch number of
 /// the configuration it was built from. The index is immutable after
@@ -48,30 +30,22 @@ class ConfigIndex {
  public:
   explicit ConfigIndex(const ClusterConfig& config, std::uint64_t epoch = 0);
 
-  /// The fragment requests needed to serve `scan`: every fragment of the
-  /// scan's table overlapping its range, each carrying the fragment's full
-  /// tuple count (a fragment is the minimum read granularity, like a disk
-  /// block — §5.1) and the nodes holding a replica.
-  ///
-  /// Seed (reference) API: materializes fresh vectors per call. Kept as
-  /// the oracle of the resolve tests and bench_query_path's seed
-  /// baseline; the query path resolves whole blocks (ResolveBatchInto).
-  std::vector<FragmentRequest> RequestsFor(const Scan& scan) const;
-
-  /// Allocation-free variant: resolves `scan` into `*scratch` (cleared
-  /// first), with candidate spans pointing directly into the index's
-  /// pool. Identical requests, in identical order, as RequestsFor.
-  void RequestsForInto(const Scan& scan, ScanScratch* scratch) const;
-
-  /// Batched variant (DESIGN.md §11): resolves every scan of `*batch`
-  /// (its SoA scan arrays must be filled) into the batch's prefix-offset
-  /// request table, candidate spans pointing at the index's pool. Scan i
-  /// produces exactly the requests RequestsForInto would, in the same
-  /// order, at requests[req_off[i] .. req_off[i+1]). One pass over the
-  /// block amortizes the per-scan scratch churn of the scalar path, and
-  /// the inner loop streams the SoA arrays with O(1) dense table-span
-  /// lookup instead of the scalar path's per-scan binary search.
+  /// Resolves every scan of `*batch` (its SoA scan arrays must be
+  /// filled) into the batch's prefix-offset request table (DESIGN.md
+  /// §11): scan i's requests land at requests[req_off[i] .. req_off[i+1])
+  /// — every fragment of the scan's table overlapping its range, in range
+  /// order, each carrying the fragment's full tuple count (a fragment is
+  /// the minimum read granularity, like a disk block — §5.1) and a
+  /// candidate span into the index's pool of replica-holding nodes. The
+  /// inner loop streams the SoA arrays with an O(1) dense table-span
+  /// lookup and a bucket index for the first overlapped fragment.
+  /// CHECK-fails on a scan over a table the configuration does not cover.
   void ResolveBatchInto(ScanBatch* batch) const;
+
+  /// Convenience form for one scan (examples and tests): resolves a
+  /// one-scan block and materializes owning FragmentRequests. Allocates;
+  /// the query path resolves blocks.
+  std::vector<FragmentRequest> RequestsFor(const Scan& scan) const;
 
   const ClusterConfig& config() const { return *config_; }
 
@@ -80,8 +54,8 @@ class ConfigIndex {
   std::uint64_t epoch() const { return epoch_; }
 
  private:
-  /// One fragment of one table, with its range inlined so the binary
-  /// search and the overlap walk touch only this contiguous array.
+  /// One fragment of one table, with its range inlined so the bucket
+  /// lookup and the overlap walk touch only this contiguous array.
   struct Entry {
     TupleIndex start = 0;
     TupleIndex end = 0;
@@ -107,24 +81,14 @@ class ConfigIndex {
     std::uint32_t bucket_shift = 0;
   };
 
-  /// The table's entry span; CHECK-fails on an unknown table (a scan over
-  /// a table the configuration does not cover is a caller bug).
-  const TableSpan& SpanFor(TableId table) const;
-
-  /// Shared fragment walk behind RequestsForInto and ResolveBatchInto:
-  /// appends to `*out` one FlatRequest per fragment of `table` overlapping
-  /// [start, end), in range order, spans into `cand_pool_`.
-  void AppendRequests(TableId table, TupleIndex start, TupleIndex end,
-                      std::vector<FlatRequest>* out) const;
-
   const ClusterConfig* config_;
   std::uint64_t epoch_ = 0;
   std::vector<TableSpan> tables_;
   std::vector<Entry> entries_;  // grouped by table, sorted by range start
   std::vector<NodeId> cand_pool_;
   /// Dense table id -> index into `tables_` (kNoTable for ids the
-  /// configuration does not cover), so the batched resolve loop finds a
-  /// scan's entry span with one load instead of a binary search.
+  /// configuration does not cover), so the resolve loop finds a scan's
+  /// entry span with one load instead of a binary search.
   static constexpr std::uint32_t kNoTable = 0xffffffffu;
   std::vector<std::uint32_t> table_slot_;
   /// Backing storage for every table's bucket index (entry indices into

@@ -1,15 +1,18 @@
 // Batch-route equivalence suite (DESIGN.md §11): for each of the four
-// scan routers, RouteBatchInto over a block of scans must make exactly
-// the decisions of calling RouteInto once per scan — node for node, tie
-// for tie, RNG draw for RNG draw — under both frozen waits and live
+// scan routers, the block size must never change a decision. A sweep of
+// block sizes is routed against one-scan blocks (the shape of the
+// router's Route/RouteInto and of the driver's route_batch_size = 1) —
+// node for node, tie for tie, RNG draw for RNG draw — under live
 // busy-until state mutated between scans (the driver's enqueue-between-
 // scans regime). Also pins the sink ordering contract, the partial-commit
 // guarantee on unroutable scans, and the PowerOfTwo RNG-consumption
 // contract per batch element.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -37,10 +40,14 @@ struct BatchSet {
   std::vector<NodeId> pool;
 };
 
-BatchSet MakeBatch(const std::vector<std::vector<FragmentRequest>>& scans) {
+/// The block of scans [first, last) of `scans` (all of them by default).
+BatchSet MakeBatch(const std::vector<std::vector<FragmentRequest>>& scans,
+                   std::size_t first = 0,
+                   std::size_t last = static_cast<std::size_t>(-1)) {
+  last = std::min(last, scans.size());
   BatchSet bs;
   bs.batch.req_off.push_back(0);
-  for (std::size_t s = 0; s < scans.size(); ++s) {
+  for (std::size_t s = first; s < last; ++s) {
     bs.batch.ids.push_back(s);
     bs.batch.tables.push_back(0);
     bs.batch.starts.push_back(0);
@@ -123,87 +130,120 @@ std::vector<std::vector<FragmentRequest>> RandomScans(Rng* rng,
   return scans;
 }
 
-/// Routes `scans` scan-by-scan through `scalar` (RouteInto) and as one
-/// block through `batch_router` (RouteBatchInto), both against live
-/// busy-until state advanced identically between scans, and asserts
-/// identical decisions, identical sink slices, and bit-identical final
-/// busy-until arrays. The two router pointers may be the same object for
-/// deterministic routers; PowerOfTwo passes two same-seeded instances.
-void ExpectBatchMatchesScalar(
-    ScanRouter* scalar, ScanRouter* batch_router,
+/// One routing of a scan set in blocks: every read in order, every sink
+/// event (scan indices relative to the whole set), and the final
+/// busy-until array.
+struct BlockRun {
+  std::vector<RoutedRead> reads;
+  std::vector<RecordingSink::Event> events;
+  std::vector<SimTime> busy;
+};
+
+/// Routes `scans` through `router` in consecutive blocks of `block_size`
+/// scans (the last block may be shorter; 0 = one block of everything),
+/// each scan's reads committed into the live busy-until array by the sink
+/// before the next scan is routed. One scratch serves every block (the
+/// driver's shape) unless `fresh_scratch` gives each block its own, so
+/// that per-scan state a core fails to reset cannot leak between scans.
+BlockRun RouteInBlocks(ScanRouter* router,
+                       const std::vector<std::vector<FragmentRequest>>& scans,
+                       std::size_t block_size, bool fresh_scratch,
+                       const std::vector<SimTime>& base_busy, double rspt,
+                       double phi) {
+  if (block_size == 0) block_size = std::max<std::size_t>(1, scans.size());
+  BlockRun run;
+  run.busy = base_busy;
+  RouterScratch shared_scratch;
+  std::vector<RoutedRead> out;
+  for (std::size_t first = 0; first < scans.size(); first += block_size) {
+    RouterScratch own_scratch;
+    RouterScratch& scratch = fresh_scratch ? own_scratch : shared_scratch;
+    const BatchSet bs = MakeBatch(scans, first, first + block_size);
+    struct BothSinks : BatchSink {
+      RecordingSink* rec;
+      MutatingSink* mut;
+      void OnScanRouted(std::size_t i, const RoutedRead* r,
+                        std::size_t n) override {
+        rec->OnScanRouted(i, r, n);
+        mut->OnScanRouted(i, r, n);
+      }
+    };
+    RecordingSink rec;
+    MutatingSink mut(&bs.batch, &run.busy, rspt);
+    BothSinks sink;
+    sink.rec = &rec;
+    sink.mut = &mut;
+    const WaitView view(run.busy.data(), run.busy.size(), /*at=*/0.0);
+    EXPECT_TRUE(router
+                    ->RouteBatchInto(bs.batch, view, rspt, phi, &scratch,
+                                     &out, &sink)
+                    .ok());
+    run.reads.insert(run.reads.end(), out.begin(), out.end());
+    for (RecordingSink::Event& e : rec.events) {
+      e.scan += first;
+      run.events.push_back(std::move(e));
+    }
+  }
+  return run;
+}
+
+/// Block sizes swept against one-scan blocks; 0 = the whole set as one
+/// block.
+constexpr std::size_t kBlockSizes[] = {2, 3, 5, 0};
+constexpr std::size_t kSweep = sizeof(kBlockSizes) / sizeof(kBlockSizes[0]);
+
+/// Routes `scans` as one-scan blocks, each with its own scratch, through
+/// `one_scan` and in blocks of every kBlockSizes entry, with one scratch
+/// across blocks, through the matching `blocked` router, and asserts
+/// identical decisions, identical sink slices (exactly one event per
+/// scan, in order, empty scans included), and bit-identical final
+/// busy-until arrays. The routers may all be the same object for
+/// deterministic routers; PowerOfTwo passes same-seeded instances.
+void ExpectBlockSizesAgree(
+    ScanRouter* one_scan, ScanRouter* const (&blocked)[kSweep],
     const std::vector<std::vector<FragmentRequest>>& scans,
     const std::vector<SimTime>& base_busy, double rspt, double phi) {
-  const BatchSet bs = MakeBatch(scans);
-
-  // Scalar reference: one RouteInto per scan, committing each scan's
-  // reads into the busy array before routing the next.
-  std::vector<SimTime> busy_scalar = base_busy;
-  std::vector<RoutedRead> expected;
-  RouterScratch scalar_scratch;
-  std::vector<RoutedRead> out;
-  for (std::size_t s = 0; s < scans.size(); ++s) {
-    const RequestBatch reqs = bs.batch.ScanRequests(s);
-    if (reqs.count == 0) continue;
-    const WaitView view(busy_scalar.data(), busy_scalar.size(), /*at=*/0.0);
-    ASSERT_TRUE(
-        scalar->RouteInto(reqs, view, rspt, phi, &scalar_scratch, &out).ok());
-    const FlatRequest* flat = bs.batch.requests.data() + bs.batch.req_off[s];
-    for (const RoutedRead& rr : out) {
-      busy_scalar[rr.node] +=
-          static_cast<double>(flat[rr.request_index].tuples) * rspt + 0.35;
-      expected.push_back(rr);
-    }
-  }
-
-  // Batched run with the same mutation applied through the sink.
-  std::vector<SimTime> busy_batch = base_busy;
-  struct BothSinks : BatchSink {
-    RecordingSink* rec;
-    MutatingSink* mut;
-    void OnScanRouted(std::size_t i, const RoutedRead* r,
-                      std::size_t n) override {
-      rec->OnScanRouted(i, r, n);
-      mut->OnScanRouted(i, r, n);
-    }
-  };
-  RecordingSink rec;
-  MutatingSink mut(&bs.batch, &busy_batch, rspt);
-  BothSinks sink;
-  sink.rec = &rec;
-  sink.mut = &mut;
-  RouterScratch batch_scratch;
-  std::vector<RoutedRead> batch_out;
-  const WaitView view(busy_batch.data(), busy_batch.size(), /*at=*/0.0);
-  ASSERT_TRUE(batch_router
-                  ->RouteBatchInto(bs.batch, view, rspt, phi, &batch_scratch,
-                                   &batch_out, &sink)
-                  .ok());
-
-  ASSERT_EQ(batch_out.size(), expected.size()) << scalar->name();
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(batch_out[i].request_index, expected[i].request_index)
-        << scalar->name() << " diverged at position " << i;
-    EXPECT_EQ(batch_out[i].node, expected[i].node)
-        << scalar->name() << " diverged at position " << i;
-  }
-  // Exactly one sink event per scan, in batch order, empty scans included.
-  ASSERT_EQ(rec.events.size(), scans.size()) << scalar->name();
+  const BlockRun ref = RouteInBlocks(one_scan, scans, 1,
+                                    /*fresh_scratch=*/true, base_busy, rspt,
+                                    phi);
+  ASSERT_EQ(ref.events.size(), scans.size()) << one_scan->name();
   std::size_t cursor = 0;
   for (std::size_t s = 0; s < scans.size(); ++s) {
-    EXPECT_EQ(rec.events[s].scan, s);
-    for (const RoutedRead& rr : rec.events[s].reads) {
-      ASSERT_LT(cursor, expected.size());
-      EXPECT_EQ(rr.node, expected[cursor].node);
-      EXPECT_EQ(rr.request_index, expected[cursor].request_index);
-      ++cursor;
-    }
+    EXPECT_EQ(ref.events[s].scan, s);
+    cursor += ref.events[s].reads.size();
   }
-  EXPECT_EQ(cursor, expected.size()) << scalar->name();
-  // The recorded waits the two paths produced — the busy-until arrays —
-  // must agree to the last double bit.
-  for (std::size_t m = 0; m < base_busy.size(); ++m) {
-    EXPECT_EQ(busy_batch[m], busy_scalar[m])
-        << scalar->name() << " wait diverged on node " << m;
+  EXPECT_EQ(cursor, ref.reads.size()) << one_scan->name();
+
+  for (std::size_t b = 0; b < kSweep; ++b) {
+    const BlockRun got =
+        RouteInBlocks(blocked[b], scans, kBlockSizes[b],
+                      /*fresh_scratch=*/false, base_busy, rspt, phi);
+    const std::string_view name = blocked[b]->name();
+    const std::size_t k = kBlockSizes[b];
+    ASSERT_EQ(got.reads.size(), ref.reads.size()) << name << " k=" << k;
+    for (std::size_t i = 0; i < ref.reads.size(); ++i) {
+      EXPECT_EQ(got.reads[i].request_index, ref.reads[i].request_index)
+          << name << " k=" << k << " diverged at position " << i;
+      EXPECT_EQ(got.reads[i].node, ref.reads[i].node)
+          << name << " k=" << k << " diverged at position " << i;
+    }
+    ASSERT_EQ(got.events.size(), ref.events.size()) << name << " k=" << k;
+    for (std::size_t s = 0; s < ref.events.size(); ++s) {
+      EXPECT_EQ(got.events[s].scan, ref.events[s].scan);
+      ASSERT_EQ(got.events[s].reads.size(), ref.events[s].reads.size())
+          << name << " k=" << k << " scan " << s;
+      for (std::size_t r = 0; r < ref.events[s].reads.size(); ++r) {
+        EXPECT_EQ(got.events[s].reads[r].node, ref.events[s].reads[r].node);
+        EXPECT_EQ(got.events[s].reads[r].request_index,
+                  ref.events[s].reads[r].request_index);
+      }
+    }
+    // The recorded waits the two runs produced — the busy-until arrays —
+    // must agree to the last double bit.
+    for (std::size_t m = 0; m < base_busy.size(); ++m) {
+      EXPECT_EQ(got.busy[m], ref.busy[m])
+          << name << " k=" << k << " wait diverged on node " << m;
+    }
   }
 }
 
@@ -220,31 +260,37 @@ TEST_P(BatchRouteTest, DeterministicRoutersMatchPerScanPath) {
   MaxOfMinsRouter mm;
   ShortestQueueRouter sq;
   GreedyScRouter gsc;
+  ScanRouter* const mm_sweep[kSweep] = {&mm, &mm, &mm, &mm};
+  ScanRouter* const sq_sweep[kSweep] = {&sq, &sq, &sq, &sq};
+  ScanRouter* const gsc_sweep[kSweep] = {&gsc, &gsc, &gsc, &gsc};
   for (const std::size_t node_count : {1u, 2u, 3u, 5u, 8u, 16u, 64u}) {
     for (int round = 0; round < 4; ++round) {
       const auto scans = RandomScans(&rng, node_count, 12);
       const auto busy = RandomBusy(&rng, node_count);
       const double rspt = 1e-6 * (1 + rng.Uniform(100));
       const double phi = rng.NextDouble();
-      ExpectBatchMatchesScalar(&mm, &mm, scans, busy, rspt, phi);
-      ExpectBatchMatchesScalar(&sq, &sq, scans, busy, rspt, phi);
-      ExpectBatchMatchesScalar(&gsc, &gsc, scans, busy, rspt, phi);
+      ExpectBlockSizesAgree(&mm, mm_sweep, scans, busy, rspt, phi);
+      ExpectBlockSizesAgree(&sq, sq_sweep, scans, busy, rspt, phi);
+      ExpectBlockSizesAgree(&gsc, gsc_sweep, scans, busy, rspt, phi);
     }
   }
 }
 
 TEST_P(BatchRouteTest, PowerOfTwoMatchesWithPairedRngStreams) {
   Rng rng(GetParam());
-  // Same-seeded pair: the scalar path consumes one stream, the batched
-  // path the other. They stay in lockstep across many blocks only if
-  // every scan of every block consumes identically.
-  PowerOfTwoRouter scalar(GetParam());
-  PowerOfTwoRouter batched(GetParam());
+  // Same-seeded instances, one per block size plus the one-scan
+  // reference: each consumes its own stream. They stay in lockstep across
+  // many blocks only if every scan of every block consumes identically,
+  // whatever the block size.
+  PowerOfTwoRouter one_scan(GetParam());
+  PowerOfTwoRouter b0(GetParam()), b1(GetParam()), b2(GetParam()),
+      b3(GetParam());
+  ScanRouter* const sweep[kSweep] = {&b0, &b1, &b2, &b3};
   for (const std::size_t node_count : {1u, 2u, 3u, 5u, 8u, 16u, 64u}) {
     for (int round = 0; round < 4; ++round) {
       const auto scans = RandomScans(&rng, node_count, 12);
       const auto busy = RandomBusy(&rng, node_count);
-      ExpectBatchMatchesScalar(&scalar, &batched, scans, busy, 1e-5, 0.35);
+      ExpectBlockSizesAgree(&one_scan, sweep, scans, busy, 1e-5, 0.35);
     }
   }
 }

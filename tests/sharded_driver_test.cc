@@ -16,12 +16,14 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "engine/config_index.h"
 #include "engine/driver.h"
 #include "engine/nashdb_system.h"
 #include "engine/sharded_driver.h"
 #include "routing/router.h"
 #include "routing/scan_batch.h"
+#include "routing_oracle.h"
 #include "workload/synthetic.h"
 
 namespace nashdb {
@@ -244,39 +246,111 @@ TEST(ShardedDriverTest, PartitionerIsDeterministicAndCoversAllShards) {
   EXPECT_EQ(ShardOfQuery(scanless, 8), 0u);
 }
 
+/// Resolves `scans` as one block and checks every scan against the
+/// configuration-derived oracle (tests/routing_oracle.h): same fragments,
+/// same order, same tuple counts, same candidate nodes, every candidate
+/// span pointing into the index's one pool. Returns the widest resolve.
+std::size_t ExpectResolveMatchesOracle(const ClusterConfig& config,
+                                       const std::vector<Scan>& scans) {
+  const ConfigIndex index(config);
+  ScanBatch batch;
+  for (std::size_t i = 0; i < scans.size(); ++i) batch.AddScan(i, scans[i]);
+  index.ResolveBatchInto(&batch);
+  EXPECT_EQ(batch.req_off.size(), scans.size() + 1);
+  std::size_t widest = 0;
+  for (std::size_t i = 0; i < scans.size(); ++i) {
+    const RequestBatch got = batch.ScanRequests(i);
+    const std::vector<FragmentRequest> want =
+        oracle::RequestsFor(config, scans[i]);
+    EXPECT_EQ(got.count, want.size()) << "scan " << i;
+    if (got.count != want.size()) continue;
+    EXPECT_EQ(got.cand_pool, batch.cand_pool) << "scan " << i;
+    for (std::size_t r = 0; r < got.count; ++r) {
+      const FlatRequest& req = got.requests[r];
+      EXPECT_EQ(req.frag, want[r].frag) << "scan " << i << " request " << r;
+      EXPECT_EQ(req.tuples, want[r].tuples);
+      EXPECT_EQ(std::vector<NodeId>(got.cands(req),
+                                    got.cands(req) + req.cand_count),
+                want[r].candidates)
+          << "scan " << i << " request " << r;
+    }
+    widest = std::max(widest, got.count);
+  }
+  return widest;
+}
+
 TEST(ShardedDriverTest, ResolveBatchMatchesPerScanResolution) {
-  // ConfigIndex::ResolveBatchInto must produce, per scan, exactly the
-  // requests RequestsForInto resolves — same fragments, same order, same
-  // candidate spans into the same pool.
+  // The NashDB-built epoch over the sharded workload's own scans, plus an
+  // empty scan (which resolves to nothing).
   const Workload workload = ShardedWorkload();
   const ClusterConfig config = BuildEpoch(workload);
-  const ConfigIndex index(config);
-
-  ScanBatch batch;
-  std::vector<const Scan*> scans;
+  std::vector<Scan> scans;
   for (const TimedQuery& tq : workload.queries) {
-    for (const Scan& scan : tq.query.scans) {
-      batch.AddScan(tq.query.id, scan);
-      scans.push_back(&scan);
-    }
+    for (const Scan& scan : tq.query.scans) scans.push_back(scan);
   }
-  index.ResolveBatchInto(&batch);
-  ASSERT_EQ(batch.req_off.size(), scans.size() + 1);
+  Scan empty = scans.front();
+  empty.range = TupleRange{empty.range.start, empty.range.start};
+  scans.push_back(empty);
+  EXPECT_GE(ExpectResolveMatchesOracle(config, scans), 1u);
 
-  ScanScratch scratch;
-  for (std::size_t i = 0; i < scans.size(); ++i) {
-    index.RequestsForInto(*scans[i], &scratch);
-    const RequestBatch got = batch.ScanRequests(i);
-    const RequestBatch want = scratch.Batch();
-    ASSERT_EQ(got.count, want.count) << "scan " << i;
-    EXPECT_EQ(got.cand_pool, want.cand_pool) << "scan " << i;
-    for (std::size_t r = 0; r < got.count; ++r) {
-      EXPECT_EQ(got.requests[r].frag, want.requests[r].frag);
-      EXPECT_EQ(got.requests[r].tuples, want.requests[r].tuples);
-      EXPECT_EQ(got.requests[r].cand_begin, want.requests[r].cand_begin);
-      EXPECT_EQ(got.requests[r].cand_count, want.requests[r].cand_count);
+  // That epoch holds few fragments, so also a dense hand-built one: 4
+  // tables of 16 uneven fragments (1–3 replicas over 8 nodes), scanned by
+  // random ranges from empty to whole-table sweeps and by ranges on
+  // fragment boundaries, so multi-fragment resolves and the bucket
+  // index's forward steps are covered.
+  Rng rng(11);
+  ReplicationParams params;
+  params.node_disk = 1'000'000'000;
+  std::vector<FragmentInfo> frags;
+  std::vector<TupleIndex> table_end(4, 0);
+  for (TableId t = 0; t < 4; ++t) {
+    for (FragmentId f = 0; f < 16; ++f) {
+      FragmentInfo info;
+      info.table = t;
+      info.index_in_table = f;
+      const TupleCount size = 1 + rng.Uniform(5000);
+      info.range = TupleRange{table_end[t], table_end[t] + size};
+      table_end[t] += size;
+      info.replicas = 1 + rng.Uniform(3);
+      frags.push_back(info);
     }
   }
+  ClusterConfig dense(params, std::move(frags));
+  for (int m = 0; m < 8; ++m) dense.AddNode();
+  std::vector<NodeId> nodes = {0, 1, 2, 3, 4, 5, 6, 7};
+  for (FlatFragmentId f = 0; f < dense.fragments().size(); ++f) {
+    rng.Shuffle(&nodes);
+    for (std::size_t k = 0; k < dense.fragment(f).replicas; ++k) {
+      dense.Place(nodes[k], f);
+    }
+  }
+  std::vector<Scan> dense_scans;
+  for (int i = 0; i < 400; ++i) {
+    Scan scan;
+    scan.table = static_cast<TableId>(rng.Uniform(4));
+    const TupleIndex a = rng.Uniform(table_end[scan.table] + 1);
+    const TupleIndex b = rng.Uniform(table_end[scan.table] + 1);
+    scan.range = TupleRange{std::min(a, b), std::max(a, b)};
+    dense_scans.push_back(scan);
+  }
+  for (TableId t = 0; t < 4; ++t) {
+    Scan sweep;
+    sweep.table = t;
+    sweep.range = TupleRange{0, table_end[t]};
+    dense_scans.push_back(sweep);
+  }
+  // Scans that start or end exactly on a fragment boundary.
+  for (const FragmentInfo& info : dense.fragments()) {
+    Scan edge;
+    edge.table = info.table;
+    edge.range = TupleRange{info.range.start, info.range.start + 1};
+    dense_scans.push_back(edge);
+    edge.range = TupleRange{info.range.end - 1, info.range.end};
+    dense_scans.push_back(edge);
+    edge.range = TupleRange{info.range.end, table_end[info.table]};
+    dense_scans.push_back(edge);
+  }
+  EXPECT_EQ(ExpectResolveMatchesOracle(dense, dense_scans), 16u);
 }
 
 }  // namespace

@@ -133,11 +133,19 @@ TEST(ThreadPoolTest, ScheduleRunsSubmittedTasks) {
 // use-after-move/segfault under contention and a guaranteed TSan report.
 // Reachable since the reconfiguration pipeline went multithreaded; run
 // this under NASHDB_SANITIZE=thread (ctest -L tsan) to prove the fix.
+//
+// Each reader's work is bounded: a Percentile after an Add re-sorts up to
+// 20k samples under the lock, so unbounded readers spinning against the
+// writers do work proportional to the number of lock handoffs — which a
+// loaded host (or a few shared cores) turns from a handful into one per
+// Add. A fixed read budget with a yield between reads keeps the overlap
+// with the writers and caps the sorts.
 TEST(PercentileTrackerTest, ConcurrentAddAndPercentileAreSafe) {
   PercentileTracker tracker;
   constexpr int kWriters = 4;
   constexpr int kReaders = 4;
   constexpr int kPerWriter = 5'000;
+  constexpr int kReadsPerReader = 200;
   std::atomic<bool> stop{false};
 
   std::vector<std::thread> threads;
@@ -152,7 +160,9 @@ TEST(PercentileTrackerTest, ConcurrentAddAndPercentileAreSafe) {
   static constexpr double kMaxWritten = kWriters * kPerWriter - 1;
   for (int r = 0; r < kReaders; ++r) {
     threads.emplace_back([&tracker, &stop] {
-      while (!stop.load(std::memory_order_relaxed)) {
+      for (int reads = 0;
+           reads < kReadsPerReader && !stop.load(std::memory_order_relaxed);
+           ++reads) {
         // One locked call promises only a value from the samples it saw
         // (0 while empty). Two calls are two snapshots: writers append in
         // between, so p95 from one and p50 from the next may be ordered
@@ -162,6 +172,7 @@ TEST(PercentileTrackerTest, ConcurrentAddAndPercentileAreSafe) {
         EXPECT_LE(p, kMaxWritten);
         (void)tracker.mean();
         (void)tracker.count();
+        std::this_thread::yield();
       }
     });
   }

@@ -32,19 +32,18 @@
 #                    the NASHDB_GUARDED_BY / NASHDB_REQUIRES annotations
 #                    (skipped without clang++; GCC lacks the analysis).
 #   --bench-smoke
-#              build and run bench_query_path --smoke,
-#              bench_data_plane --smoke, and bench_transition_scale
-#              --smoke in the plain Release tree and validate the
-#              BENCH_query_path.json / BENCH_data_plane.json /
+#              build and run bench_data_plane --smoke and
+#              bench_transition_scale --smoke in the plain Release tree
+#              and validate the BENCH_data_plane.json /
 #              BENCH_transition.json they write under build/bench-smoke/
 #              (never over the committed reference JSONs at the repo
 #              root; CI runs this and uploads the JSONs as artifacts).
-#              Smoke iteration counts
-#              keep it to seconds; the numbers are noise-level, the
-#              point is that the benches run, the identity checks
-#              inside them pass (route identity for the query path,
-#              sparse-vs-dense plan-cost identity for the transition
-#              sweep), and the JSON is well-formed.
+#              Smoke iteration counts keep it to seconds; the numbers
+#              are noise-level, the point is that the benches run, the
+#              identity checks inside them pass (block-size route
+#              identity for the data plane, sparse-vs-dense plan-cost
+#              identity for the transition sweep), and the JSON is
+#              well-formed.
 #
 # Unknown flags are an error — a typo like --qick silently running the
 # slow full suite (or worse, skipping it) is exactly the failure mode a
@@ -90,39 +89,11 @@ fi
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
 if [[ "${BENCH_SMOKE}" == "1" ]]; then
-  echo "== query-path bench (smoke) =="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build build -j "${JOBS}" --target bench_query_path
   # Smoke numbers are noise-level: keep them out of the committed
   # reference JSONs at the repo root.
   smoke_dir="build/bench-smoke"
   mkdir -p "${smoke_dir}"
-  out="${smoke_dir}/BENCH_query_path.json"
-  ./build/bench/bench_query_path --smoke --out="${out}"
-  # Validate the artifact: parseable JSON with the three node_count
-  # configs (python3 when available, key-presence grep otherwise).
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - "${out}" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-assert doc["bench"] == "query_path", doc
-counts = [c["node_count"] for c in doc["configs"]]
-assert counts == [4, 16, 64], counts
-for c in doc["configs"]:
-    for path in ("seed", "flat"):
-        for key in ("scans_per_sec", "p50_ns", "p99_ns"):
-            assert c[path][key] > 0, (path, key, c)
-print("bench artifact OK:", counts)
-EOF
-  else
-    grep -q '"bench": "query_path"' "${out}"
-    for n in 4 16 64; do
-      grep -q "\"node_count\": ${n}" "${out}"
-    done
-    echo "bench artifact OK (grep fallback)"
-  fi
-  echo
   echo "== data-plane bench (smoke) =="
   cmake --build build -j "${JOBS}" --target bench_data_plane
   dp_out="${smoke_dir}/BENCH_data_plane.json"
@@ -179,7 +150,7 @@ EOF
     echo "bench artifact OK (grep fallback)"
   fi
   echo
-  echo "check.sh: bench smoke green (${out}, ${dp_out}, ${tr_out})"
+  echo "check.sh: bench smoke green (${dp_out}, ${tr_out})"
   exit 0
 fi
 

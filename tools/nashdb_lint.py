@@ -23,11 +23,11 @@ time instead of by a flaky golden diff three PRs later:
                         (the codebase already does).
   hot-alloc             Functions marked NASHDB_HOT
                         (common/thread_annotations.h) — the steady-state
-                        query path: RouteInto / RouteBatchInto /
-                        ResolveBatchInto / RequestsForInto / WaitView and
-                        the SPSC ring ops — must not allocate: no `new`,
-                        no make_unique/make_shared, no std::string
-                        construction, no container growth calls. The §10
+                        query path: RouteBatchInto / ResolveBatchInto /
+                        WaitView and the SPSC ring ops — must not
+                        allocate: no `new`, no make_unique/make_shared,
+                        no std::string construction, no container
+                        growth calls. The §10
                         contract is "the steady state allocates nothing";
                         deliberate appends into caller-reserved capacity
                         carry an ALLOW with the reason.
