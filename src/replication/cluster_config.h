@@ -22,7 +22,9 @@ class ClusterConfig {
  public:
   ClusterConfig() = default;
   ClusterConfig(ReplicationParams params, std::vector<FragmentInfo> fragments)
-      : params_(params), fragments_(std::move(fragments)) {}
+      : params_(params),
+        fragments_(std::move(fragments)),
+        fragment_nodes_(fragments_.size()) {}
 
   const ReplicationParams& params() const { return params_; }
   const std::vector<FragmentInfo>& fragments() const { return fragments_; }

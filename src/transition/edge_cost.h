@@ -56,13 +56,23 @@ struct TransitionGraph {
 };
 
 /// Builds the sparse overlap graph for the transition old_config ->
-/// new_config with a per-table interval plane sweep over the coalesced
-/// per-node interval sets (NodeData::Of), O((I_old + I_new) log + E) where
-/// I is the interval count and E the number of emitted edges. Old nodes
-/// flagged in `old_node_dead` contribute no intervals: their replicas are
-/// unreadable, so every edge touching them is trivial (full copy), exactly
-/// like the failure-aware dense path. Pass nullptr when no node is dead.
-/// Deterministic: output depends only on the two configurations.
+/// new_config one new node at a time. The old configuration is cut at
+/// every fragment endpoint into per-table elementary segments, each with a
+/// flat list of the live old nodes whose coalesced interval set
+/// (NodeData::Of) covers it. Each new node's coalesced intervals then walk
+/// the segments they intersect (binary search for the first) and add every
+/// intersection into a dense n_old scratch row; the row's touched entries,
+/// sorted, are that new node's edges. Cost: O(F) to cut F old fragments
+/// listed in position order (O(F log F) otherwise) and one entry per
+/// (segment, live holder) pair to list the holders, plus per new interval
+/// one O(log S) search over S segments and one add per (segment, holder)
+/// pair it meets. Edges come out (new, old)-sorted with no global sort and
+/// no intermediate triple buffer.
+/// Old nodes flagged in `old_node_dead` contribute no intervals: their
+/// replicas are unreadable, so every edge touching them is trivial (full
+/// copy), exactly like the failure-aware dense path. Pass nullptr when no
+/// node is dead. Deterministic: output depends only on the two
+/// configurations.
 TransitionGraph BuildTransitionGraph(const ClusterConfig& old_config,
                                      const ClusterConfig& new_config,
                                      const std::vector<bool>* old_node_dead);

@@ -25,6 +25,7 @@
 #include "routing/scan_batch.h"
 #include "routing_oracle.h"
 #include "workload/synthetic.h"
+#include "workload/tpch.h"
 
 namespace nashdb {
 namespace {
@@ -37,14 +38,41 @@ Workload ShardedWorkload() {
   return MakeBernoulliWorkload(wopts);
 }
 
-/// The single configuration epoch both drivers run against, built the
-/// same way RunWorkload's warmup_observe path builds it: observe the
-/// whole workload, then one BuildConfig.
-ClusterConfig BuildEpoch(const Workload& workload) {
+NashDbOptions ShardedSystemOptions() {
   NashDbOptions opts;
   opts.window_scans = 30;
   opts.block_tuples = 100000;
   opts.node_disk = 2000000;
+  return opts;
+}
+
+/// The single Bernoulli epoch above holds one fragment on two nodes, so
+/// every scan there resolves to one request. This TPC-H epoch spreads
+/// eight tables over many replicated fragments and several nodes, so
+/// scans resolve to several requests and the routers' multi-request paths
+/// (MaxOfMins' two- and many-request cores, GreedySC's postings) run.
+Workload TpchShardedWorkload() {
+  TpchOptions wopts;
+  wopts.db_gb = 10.0;
+  wopts.num_queries = 88;
+  wopts.price = 0.5;
+  wopts.arrival_span_s = 4.0 * 3600.0;
+  return MakeTpchWorkload(wopts);
+}
+
+NashDbOptions TpchSystemOptions() {
+  NashDbOptions opts;
+  opts.window_scans = 300;
+  opts.block_tuples = 5000;
+  opts.node_disk = 300000;
+  return opts;
+}
+
+/// The single configuration epoch both drivers run against, built the
+/// same way RunWorkload's warmup_observe path builds it: observe the
+/// whole workload, then one BuildConfig.
+ClusterConfig BuildEpoch(const Workload& workload,
+                         const NashDbOptions& opts = ShardedSystemOptions()) {
   NashDbSystem sys(workload.dataset, opts);
   for (const TimedQuery& tq : workload.queries) sys.Observe(tq.query);
   return sys.BuildConfig();
@@ -53,11 +81,8 @@ ClusterConfig BuildEpoch(const Workload& workload) {
 /// Serial reference: the regular driver on the same epoch regime (whole
 /// workload observed up front, no reconfiguration, no faults).
 RunResult RunSerial(const Workload& workload, ScanRouter* router,
-                    std::size_t route_batch_size) {
-  NashDbOptions opts;
-  opts.window_scans = 30;
-  opts.block_tuples = 100000;
-  opts.node_disk = 2000000;
+                    std::size_t route_batch_size,
+                    const NashDbOptions& opts = ShardedSystemOptions()) {
   NashDbSystem sys(workload.dataset, opts);
   DriverOptions dopts;
   dopts.warmup_observe = true;
@@ -92,12 +117,13 @@ const Factory kFactories[] = {
     [] { return std::unique_ptr<ScanRouter>(new PowerOfTwoRouter(1234)); },
 };
 
-TEST(ShardedDriverTest, OneShardMatchesSerialDriverForEveryRouter) {
-  const Workload workload = ShardedWorkload();
-  const ClusterConfig config = BuildEpoch(workload);
+void ExpectOneShardMatchesSerial(const Workload& workload,
+                                 const NashDbOptions& opts) {
+  const ClusterConfig config = BuildEpoch(workload, opts);
   for (const Factory& make_router : kFactories) {
     const std::unique_ptr<ScanRouter> serial_router = make_router();
-    const RunResult serial = RunSerial(workload, serial_router.get(), 64);
+    const RunResult serial =
+        RunSerial(workload, serial_router.get(), 64, opts);
 
     ShardedDriverOptions so;
     so.shards = 1;
@@ -115,6 +141,36 @@ TEST(ShardedDriverTest, OneShardMatchesSerialDriverForEveryRouter) {
     EXPECT_EQ(sharded.merged.transitions, serial.transitions);
     EXPECT_EQ(sharded.merged.final_nodes, serial.final_nodes);
   }
+}
+
+TEST(ShardedDriverTest, OneShardMatchesSerialDriverForEveryRouter) {
+  ExpectOneShardMatchesSerial(ShardedWorkload(), ShardedSystemOptions());
+
+  // The multi-fragment epoch, after checking it really is one.
+  const Workload tpch = TpchShardedWorkload();
+  const ClusterConfig config = BuildEpoch(tpch, TpchSystemOptions());
+  std::set<TableId> tables;
+  std::size_t replicated = 0;
+  for (FlatFragmentId f = 0; f < config.fragments().size(); ++f) {
+    tables.insert(config.fragment(f).table);
+    if (config.FragmentNodes(f).size() >= 2) ++replicated;
+  }
+  std::size_t scans = 0, multi = 0, widest = 0;
+  for (const TimedQuery& tq : tpch.queries) {
+    for (const Scan& scan : tq.query.scans) {
+      const std::size_t n = oracle::RequestsFor(config, scan).size();
+      ++scans;
+      if (n >= 2) ++multi;
+      widest = std::max(widest, n);
+    }
+  }
+  EXPECT_GE(tables.size(), 2u);
+  EXPECT_GT(config.fragments().size(), tables.size());
+  EXPECT_GE(config.node_count(), 3u);
+  EXPECT_GE(replicated, 2u);
+  EXPECT_GE(4 * multi, scans);  // a quarter of scans span fragments
+  EXPECT_GE(widest, 3u);
+  ExpectOneShardMatchesSerial(tpch, TpchSystemOptions());
 }
 
 TEST(ShardedDriverTest, EachShardMatchesASerialRunOfItsPartition) {

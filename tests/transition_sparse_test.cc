@@ -1,5 +1,6 @@
 // Property tests for the scalable control plane (DESIGN.md "Scalable
-// control plane"): the sparse successive-shortest-paths matcher must be
+// control plane"): the overlap graph must equal the pairwise §7 oracle
+// edge for edge, the sparse successive-shortest-paths matcher must be
 // bit-identical in total plan cost to the dense Hungarian solver on every
 // instance, the parallel BFFD packer must produce the same configuration
 // as the historical serial scan, and the streaming validators must report
@@ -22,6 +23,7 @@
 #include "transition/edge_cost.h"
 #include "transition/planner.h"
 #include "transition/sparse_matching.h"
+#include "transition_oracle.h"
 
 namespace nashdb {
 namespace {
@@ -111,6 +113,147 @@ void CheckSolversAgree(const ClusterConfig& old_config,
                 static_cast<std::int64_t>(sparse.nodes_removed),
             net)
       << what;
+}
+
+// ------------------------------------------------- overlap graph oracle
+
+void ExpectGraphMatchesOracle(const ClusterConfig& old_config,
+                              const ClusterConfig& new_config,
+                              const std::vector<bool>* dead,
+                              const std::string& what) {
+  const TransitionGraph graph =
+      BuildTransitionGraph(old_config, new_config, dead);
+  const TransitionGraph want =
+      oracle::PairwiseTransitionGraph(old_config, new_config, dead);
+  EXPECT_EQ(oracle::DiffGraphs(graph, want), "") << what;
+}
+
+// A random tiling of `tables` tables with about a fifth of its fragments
+// dropped, so each table has holes no node covers; table ids start at
+// `first_table`.
+std::vector<FragmentInfo> GappyFragments(Rng& rng, std::size_t tables,
+                                         TableId first_table) {
+  std::vector<FragmentInfo> frags;
+  for (FragmentInfo f : RandomFragments(rng, tables, 300 + rng.Uniform(400),
+                                        5, 60, 3)) {
+    if (rng.Uniform(5) == 0) continue;
+    f.table += first_table;
+    frags.push_back(f);
+  }
+  return frags;
+}
+
+TEST(TransitionGraphTest, MatchesPairwiseOracle) {
+  Rng rng(20261020);
+  for (int trial = 0; trial < 16; ++trial) {
+    const std::string what = "trial " + std::to_string(trial);
+    // Different disks give n_old != n_new; shifting the new epoch's table
+    // ids by one leaves a table only the old side holds and one only the
+    // new side holds.
+    const TableId shift = static_cast<TableId>(trial % 2);
+    auto old_config = PackReplicasBffd(Params(80 + rng.Uniform(200)),
+                                       GappyFragments(rng, 3, 0));
+    auto new_config = PackReplicasBffd(Params(80 + rng.Uniform(200)),
+                                       GappyFragments(rng, 3, shift));
+    ASSERT_TRUE(old_config.ok()) << what;
+    ASSERT_TRUE(new_config.ok()) << what;
+    ExpectGraphMatchesOracle(*old_config, *new_config, nullptr, what);
+
+    std::vector<bool> dead(old_config->node_count(), false);
+    for (std::size_t m = 0; m < dead.size(); ++m) {
+      dead[m] = rng.Uniform(3) == 0;
+    }
+    ExpectGraphMatchesOracle(*old_config, *new_config, &dead,
+                             what + " some dead");
+    // A short bitmap leaves the nodes past its end alive.
+    dead.resize(dead.size() / 2);
+    ExpectGraphMatchesOracle(*old_config, *new_config, &dead,
+                             what + " short bitmap");
+    const std::vector<bool> all_dead(old_config->node_count(), true);
+    const TransitionGraph none =
+        BuildTransitionGraph(*old_config, *new_config, &all_dead);
+    EXPECT_TRUE(none.edges.empty()) << what;
+    ExpectGraphMatchesOracle(*old_config, *new_config, &all_dead,
+                             what + " all dead");
+  }
+
+  // Adjacent fragments on one node coalesce into one interval, and that
+  // interval meets another node's interval across the shared boundary.
+  std::vector<FragmentInfo> frags(4);
+  for (std::size_t i = 0; i < frags.size(); ++i) {
+    frags[i].table = 0;
+    frags[i].index_in_table = static_cast<FragmentId>(i);
+    frags[i].range = TupleRange{10 * i, 10 * (i + 1)};
+    frags[i].replicas = 1;
+  }
+  auto old_config =
+      BuildConfigFromPlacement(Params(100), frags, {{0, 1, 2}, {3}});
+  auto new_config =
+      BuildConfigFromPlacement(Params(100), frags, {{1, 2, 3}, {0}, {}});
+  ASSERT_TRUE(old_config.ok());
+  ASSERT_TRUE(new_config.ok());
+  ExpectGraphMatchesOracle(*old_config, *new_config, nullptr, "adjacent");
+  const TransitionGraph graph =
+      BuildTransitionGraph(*old_config, *new_config, nullptr);
+  ASSERT_EQ(graph.edges.size(), 3u);
+  EXPECT_EQ(graph.edges[0].overlap, 20u);  // old 0 [0,30) vs new 0 [10,40)
+  EXPECT_EQ(graph.edges[1].overlap, 10u);  // old 1 [30,40) vs new 0
+  EXPECT_EQ(graph.edges[2].overlap, 10u);  // old 0 vs new 1 [0,10)
+  EXPECT_EQ(graph.new_total, (std::vector<TupleCount>{30, 10, 0}));
+
+  // Overlapping fragments, listed out of position order: two tilings of
+  // the same tables in one configuration, so a node can hold two fragments
+  // that share tuples and must count those tuples once.
+  for (int trial = 0; trial < 6; ++trial) {
+    const std::string what = "overlapping trial " + std::to_string(trial);
+    auto two_schemes = [&rng] {
+      std::vector<FragmentInfo> frags = GappyFragments(rng, 2, 0);
+      for (const FragmentInfo& f : GappyFragments(rng, 2, 0)) {
+        frags.push_back(f);
+      }
+      return frags;
+    };
+    auto old_overlap = PackReplicasBffd(Params(300), two_schemes());
+    auto new_overlap = PackReplicasBffd(Params(300), two_schemes());
+    ASSERT_TRUE(old_overlap.ok()) << what;
+    ASSERT_TRUE(new_overlap.ok()) << what;
+    ExpectGraphMatchesOracle(*old_overlap, *new_overlap, nullptr, what);
+    std::vector<bool> dead(old_overlap->node_count(), false);
+    for (std::size_t m = 0; m < dead.size(); m += 3) dead[m] = true;
+    ExpectGraphMatchesOracle(*old_overlap, *new_overlap, &dead,
+                             what + " some dead");
+  }
+  std::vector<FragmentInfo> nested(3);
+  nested[0].range = TupleRange{10, 30};
+  nested[1].range = TupleRange{0, 20};
+  nested[2].range = TupleRange{12, 15};
+  for (FragmentInfo& f : nested) f.replicas = 1;
+  auto old_nested =
+      BuildConfigFromPlacement(Params(100), nested, {{0, 1, 2}, {2}});
+  auto new_nested = BuildConfigFromPlacement(Params(100), nested, {{0}});
+  ASSERT_TRUE(old_nested.ok());
+  ASSERT_TRUE(new_nested.ok());
+  ExpectGraphMatchesOracle(*old_nested, *new_nested, nullptr, "nested");
+  const TransitionGraph nested_graph =
+      BuildTransitionGraph(*old_nested, *new_nested, nullptr);
+  ASSERT_EQ(nested_graph.edges.size(), 2u);
+  EXPECT_EQ(nested_graph.edges[0].overlap, 20u);  // [0,30) vs [10,30)
+  EXPECT_EQ(nested_graph.edges[1].overlap, 3u);   // [12,15) vs [10,30)
+
+  // Fragments and nodes but no placement at all.
+  ClusterConfig unplaced(Params(100), nested);
+  unplaced.AddNode();
+  ExpectGraphMatchesOracle(unplaced, *new_nested, nullptr, "unplaced old");
+  ExpectGraphMatchesOracle(*new_nested, unplaced, nullptr, "unplaced new");
+
+  // Empty sides: nothing to overlap, but new_total still prices the new
+  // nodes.
+  Rng side_rng(5);
+  const ClusterConfig some = RandomConfig(side_rng, 2, 300, 10, 40, 2, 100);
+  const ClusterConfig empty;
+  ExpectGraphMatchesOracle(empty, some, nullptr, "empty old");
+  ExpectGraphMatchesOracle(some, empty, nullptr, "empty new");
+  ExpectGraphMatchesOracle(empty, empty, nullptr, "both empty");
 }
 
 // ------------------------------------------------- randomized instances

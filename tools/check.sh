@@ -41,9 +41,9 @@
 #              Smoke iteration counts keep it to seconds; the numbers
 #              are noise-level, the point is that the benches run, the
 #              identity checks inside them pass (block-size route
-#              identity for the data plane, sparse-vs-dense plan-cost
-#              identity for the transition sweep), and the JSON is
-#              well-formed.
+#              identity for the data plane; overlap-graph oracle and
+#              sparse-vs-dense plan-cost identity for the transition
+#              sweep), and the JSON is well-formed.
 #
 # Unknown flags are an error — a typo like --qick silently running the
 # slow full suite (or worse, skipping it) is exactly the failure mode a
@@ -128,8 +128,10 @@ EOF
   cmake --build build -j "${JOBS}" --target bench_transition_scale
   tr_out="${smoke_dir}/BENCH_transition.json"
   ./build/bench/bench_transition_scale --smoke --out="${tr_out}"
-  # Validate: parseable JSON; every size planned and validated, and the
-  # sparse-vs-dense plan-cost identity was exercised on at least one
+  # Validate: parseable JSON with the host block and repetition count;
+  # every size planned and validated, every timed stage a median inside
+  # its [min, max]; and both the overlap-graph oracle identity and the
+  # sparse-vs-dense plan-cost identity were exercised on at least one
   # instance (the bench itself CHECK-fails on any mismatch).
   if command -v python3 >/dev/null 2>&1; then
     python3 - "${tr_out}" <<'EOF'
@@ -137,16 +139,28 @@ import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
 assert doc["bench"] == "transition_scale", doc
+host = doc["host"]
+assert host["nproc"] > 0, host
+for key in ("compiler", "build_type", "git_sha"):
+    assert host[key], host
+assert doc["reps"] >= 1, doc
 assert doc["results"], doc
+def spread_ok(s):
+    return 0 <= s["min"] <= s["median"] <= s["max"]
 for r in doc["results"]:
     assert r["nodes_new"] > 0 and r["fragments"] > 0, r
-    assert r["plan_ms"] > 0 and r["validate_ms"] > 0, r
+    for key in ("pack_ms", "graph_ms", "solve_ms", "plan_ms", "validate_ms"):
+        assert spread_ok(r[key]), (key, r)
+    assert r["plan_ms"]["min"] > 0 and r["validate_ms"]["min"] > 0, r
+    assert r["dense_ms"] is None or spread_ok(r["dense_ms"]), r
 assert any(r["cost_identity_checked"] for r in doc["results"]), doc
+assert any(r["graph_identity_checked"] for r in doc["results"]), doc
 print("bench artifact OK:", len(doc["results"]), "sizes")
 EOF
   else
     grep -q '"bench": "transition_scale"' "${tr_out}"
     grep -q '"cost_identity_checked": true' "${tr_out}"
+    grep -q '"graph_identity_checked": true' "${tr_out}"
     echo "bench artifact OK (grep fallback)"
   fi
   echo
